@@ -9,10 +9,9 @@ deterministic simulator with a JSON scenario front end.
 """
 
 from .controller import (
-    ControllerState,
+    ClosedLoop,
     Gains,
     HurwitzReport,
-    closed_loop_matrix,
     effective_closed_loop_matrix,
     follower_velocity,
     stacked_dynamics,
@@ -78,8 +77,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BearingLaplacian",
     "BearingSpec",
+    "ClosedLoop",
     "Configuration",
-    "ControllerState",
     "DegenerateVector",
     "DimensionMismatch",
     "EigenSolveFailure",
@@ -107,7 +106,6 @@ __all__ = [
     "bearing_rigidity_matrix",
     "centroid",
     "check_localizable",
-    "closed_loop_matrix",
     "combined_command",
     "desired_bearing",
     "effective_closed_loop_matrix",

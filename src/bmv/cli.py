@@ -86,6 +86,8 @@ def _fail(origin: str, field: str, problem: str) -> ParseError:
 def _as_number(value, origin: str, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(origin, field, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise _fail(origin, field, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -316,6 +318,16 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
+    """Write every ``decimate``-th sample and the final one, a row each."""
+    samples = len(columns[0])
+    rows = sorted({*range(0, samples, decimate), samples - 1})
+    table = np.column_stack([column[rows] for column in columns])
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row.tolist())) for row in table]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(
     path: Path, traj: Trajectory, labels: tuple[str, ...], decimate: int = 1
 ) -> None:
@@ -326,16 +338,8 @@ def write_trajectory_csv(
     header += ["bearing_error", "tracking_error"]
     header += [f"centroid_{axis}" for axis in axes]
     header += ["scale"]
-    lines = [",".join(header)]
-    for k in range(0, traj.times.size, decimate):
-        row = [repr(float(traj.times[k]))]
-        row += [repr(float(v)) for v in traj.positions[k]]
-        row.append(repr(float(traj.bearing_error[k])))
-        row.append(repr(float(traj.tracking_error[k])))
-        row += [repr(float(v)) for v in traj.centroid[k]]
-        row.append(repr(float(traj.scale[k])))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, [traj.times, traj.positions, traj.bearing_error,
+                              traj.tracking_error, traj.centroid, traj.scale], decimate)
 
 
 def write_xi_csv(
@@ -345,24 +349,28 @@ def write_xi_csv(
     header = ["t"] + [
         f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes
     ]
-    lines = [",".join(header)]
-    for k in range(0, traj.times.size, decimate):
-        row = [repr(float(traj.times[k]))]
-        row += [repr(float(v)) for v in traj.xi[k]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, [traj.times, traj.xi], decimate)
+
+
+def _spectrum(ctx: SimContext) -> dict:
+    """Closed-loop spectrum, stability verdict and convergence horizon."""
+    report = verify_hurwitz(
+        effective_closed_loop_matrix(ctx.laplacian.L_ff, ctx.scenario.gains)
+    )
+    horizon = None
+    if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
+        horizon = 12.0 / abs(report.max_real_part)
+    return {
+        "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
+        "max_real_part": _finite(report.max_real_part),
+        "is_hurwitz": report.is_hurwitz,
+        "convergence_horizon": horizon,
+    }
 
 
 def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
     scenario = ctx.scenario
     graph = scenario.graph
-    report = verify_hurwitz(
-        effective_closed_loop_matrix(ctx.laplacian.L_ff, scenario.gains)
-    )
-    horizon = None
-    if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
-        horizon = 12.0 / abs(report.max_real_part)
-
     fit = None
     last = ctx.segments[-1]
     window = (traj.times >= max(last.t_start, 0.0)) & (traj.tracking_error > 1e-13)
@@ -399,12 +407,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "localizable": ctx.localizability.localizable,
             "lambda_min_ff": _finite(ctx.localizability.min_eigenvalue),
         },
-        "spectrum": {
-            "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
-            "max_real_part": _finite(report.max_real_part),
-            "is_hurwitz": report.is_hurwitz,
-            "convergence_horizon": horizon,
-        },
+        "spectrum": _spectrum(ctx),
         "final": {
             "time": float(traj.times[-1]),
             "bearing_error": _finite(traj.bearing_error[-1]),
@@ -448,14 +451,9 @@ def write_bundle(
 # commands
 
 def _apply_overrides(loaded: LoadedScenario, args) -> LoadedScenario:
-    scenario = loaded.scenario
-    updates = {}
-    if getattr(args, "dt", None) is not None:
-        updates["dt"] = args.dt
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if updates:
-        scenario = dataclasses.replace(scenario, **updates)
+    updates = {key: getattr(args, key) for key in ("dt", "seed")}
+    updates = {key: value for key, value in updates.items() if value is not None}
+    scenario = dataclasses.replace(loaded.scenario, **updates)
     return LoadedScenario(scenario=scenario, labels=loaded.labels)
 
 
@@ -498,38 +496,18 @@ def cmd_run(args) -> int:
 def cmd_spectrum(args) -> int:
     loaded = _apply_overrides(load_scenario(args.scenario), args)
     ctx = assemble(loaded.scenario, force=args.force)
-    report = verify_hurwitz(
-        effective_closed_loop_matrix(ctx.laplacian.L_ff, ctx.scenario.gains)
-    )
-    horizon = None
-    if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
-        horizon = 12.0 / abs(report.max_real_part)
-    doc = {
-        "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
-        "max_real_part": _finite(report.max_real_part),
-        "is_hurwitz": report.is_hurwitz,
-        "convergence_horizon": horizon,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(_spectrum(ctx), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _batch_one(task) -> tuple[str, int, str]:
     """Run one scenario in a worker; returns (name, exit code, message)."""
-    path, outdir, dt, seed, decimate, force = task
+    path, outdir, args = task
     try:
-        loaded = load_scenario(path)
-        scenario = loaded.scenario
-        updates = {}
-        if dt is not None:
-            updates["dt"] = dt
-        if seed is not None:
-            updates["seed"] = seed
-        if updates:
-            scenario = dataclasses.replace(scenario, **updates)
-        ctx = assemble(scenario, force=force)
+        loaded = _apply_overrides(load_scenario(path), args)
+        ctx = assemble(loaded.scenario, force=args.force)
         traj = run(ctx)
-        write_bundle(Path(outdir), ctx, traj, loaded.labels, decimate=decimate)
+        write_bundle(Path(outdir), ctx, traj, loaded.labels, decimate=args.decimate)
         return (
             str(path),
             EXIT_OK,
@@ -553,9 +531,7 @@ def cmd_batch(args) -> int:
             k += 1
             name = f"{stem}_{k}"
         names.add(name)
-        tasks.append(
-            (raw, str(out_root / name), args.dt, args.seed, args.decimate, args.force)
-        )
+        tasks.append((raw, str(out_root / name), args))
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_batch_one, tasks))
@@ -579,6 +555,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmv",
@@ -587,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--dt", type=float, default=None, help="override the scenario step size")
+        p.add_argument("--dt", type=_positive_float, default=None,
+                       help="override the scenario step size")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--force", action="store_true",
                        help="run even if rigidity or localizability checks fail")

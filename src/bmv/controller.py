@@ -3,13 +3,15 @@
 Each follower steers against the projection of its relative positions onto
 the complements of the desired bearings, plus an integral term that absorbs
 constant leader velocities.  The same law is available agent by agent (what
-a robot would run) and in stacked matrix form (what the analysis uses); the
-two are algebraically identical.
+a robot would run) and as one linear system on the stacked state (what the
+simulator integrates and the analysis uses); the two are algebraically
+identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -48,22 +50,6 @@ class Gains:
             raise ValueError(f"k_p must be positive, got {self.k_p!r}")
         if not (np.isfinite(self.k_i) and self.k_i >= 0.0):
             raise ValueError(f"k_i must be non-negative, got {self.k_i!r}")
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Stacked integral state of all followers, zero at start-up."""
-
-    xi: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.xi, dtype=float).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "xi", arr)
-
-    @classmethod
-    def zeros(cls, n_followers: int, d: int) -> "ControllerState":
-        return cls(np.zeros(n_followers * d))
 
 
 class HurwitzReport(NamedTuple):
@@ -112,6 +98,68 @@ def follower_velocity(
     return -gains.k_p * drive - gains.k_i * xi, drive
 
 
+def _loop_matrix(drive: np.ndarray, gains: Gains) -> np.ndarray:
+    """State matrix on [p, xi] of the PI law, followers last in p.
+
+    ``drive`` is the followers' rows of the Laplacian; other rows of p are zero.
+    """
+    k, c = drive.shape
+    A = np.zeros((c + k, c + k))
+    A[c - k : c, :c] = -gains.k_p * drive
+    A[c - k : c, c:] = -gains.k_i * np.eye(k)
+    A[c:, :c] = drive
+    return A
+
+
+@dataclass(frozen=True)
+class ClosedLoop:
+    """The closed loop as one linear system, z' = A z + B v.
+
+    z = [p, xi] stacks all positions (leaders first) and the integral states;
+    v stacks the leader velocities, so B = [I; 0] feeds the first
+    ``n_inputs`` coordinates.  With v constant, one classical RK4 step of
+    length h is exactly z <- Phi(h) z + Gamma(h) v, Phi(h) = sum_{k<=4} (hA)^k/k!.
+    """
+
+    A: np.ndarray = field(repr=False)
+    n_inputs: int
+    dt: float
+
+    @classmethod
+    def from_laplacian(cls, lap: BearingLaplacian, gains: Gains, dt: float) -> "ClosedLoop":
+        split = lap.d * lap.n_leaders
+        return cls(_loop_matrix(lap.matrix[split:], gains), split, dt)
+
+    def _rk4_sum(self, h: float, x: np.ndarray) -> np.ndarray:
+        """h (I + hA/2 + (hA)^2/6 + (hA)^3/24) x by Horner's rule, in place."""
+        acc = x.copy()
+        tmp = np.empty_like(acc)
+        for k in (4.0, 3.0, 2.0):
+            np.matmul(self.A, acc, out=tmp)
+            tmp *= h / k
+            tmp += x
+            acc, tmp = tmp, acc
+        acc *= h
+        return acc
+
+    @cached_property
+    def propagator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi(dt), Gamma(dt)), built on first use and kept."""
+        S = self._rk4_sum(self.dt, np.eye(self.A.shape[0]))
+        phi = self.A @ S
+        phi[np.diag_indices_from(phi)] += 1.0
+        return phi, S[:, : self.n_inputs].copy()
+
+    def advance(self, z: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+        """One RK4 step of length h; other lengths than dt skip the kept pair."""
+        if h == self.dt:
+            phi, gamma = self.propagator
+            return phi @ z + gamma @ v
+        rate = self.A @ z
+        rate[: self.n_inputs] += v
+        return z + self._rk4_sum(h, rate)
+
+
 def stacked_dynamics(
     lap: BearingLaplacian,
     positions,
@@ -127,54 +175,34 @@ def stacked_dynamics(
     """
     p = positions.stacked if isinstance(positions, Configuration) else positions
     p = np.asarray(p, dtype=float).reshape(-1)
-    x = xi.xi if isinstance(xi, ControllerState) else xi
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(xi, dtype=float).reshape(-1)
     v_l = np.asarray(leader_velocity, dtype=float).reshape(-1)
     split = lap.d * lap.n_leaders
-    n_f_coords = lap.d * lap.n_followers
-    if p.size != split + n_f_coords:
-        raise DimensionMismatch(
-            f"expected {split + n_f_coords} stacked coordinates, got {p.size}"
-        )
-    if x.size != n_f_coords:
-        raise DimensionMismatch(
-            f"expected {n_f_coords} integral coordinates, got {x.size}"
-        )
-    if v_l.size != split:
-        raise DimensionMismatch(
-            f"expected {split} stacked leader velocities, got {v_l.size}"
-        )
-    drive = lap.L_ff @ p[split:] + lap.L_fl @ p[:split]
-    dp = np.concatenate([v_l, -gains.k_p * drive - gains.k_i * x])
-    return dp, drive
-
-
-def closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
-    """Error-dynamics matrix [[-k_p*L_ff, -k_i*I], [L_ff, 0]].
-
-    The identity block is sized like L_ff itself, i.e. one slot per stacked
-    follower coordinate.
-    """
-    M = np.asarray(L_ff, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"L_ff must be square, got shape {M.shape}")
-    k = M.shape[0]
-    A = np.zeros((2 * k, 2 * k))
-    A[:k, :k] = -gains.k_p * M
-    A[:k, k:] = -gains.k_i * np.eye(k)
-    A[k:, :k] = M
-    return A
+    for got, expected, what in (
+        (p.size, lap.d * lap.n, "stacked coordinates"),
+        (x.size, lap.d * lap.n_followers, "integral coordinates"),
+        (v_l.size, split, "stacked leader velocities"),
+    ):
+        if got != expected:
+            raise DimensionMismatch(f"expected {expected} {what}, got {got}")
+    dz = _loop_matrix(lap.matrix[split:], gains) @ np.concatenate([p, x])
+    dz[:split] += v_l
+    return dz[: p.size], dz[p.size :]
 
 
 def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
     """Matrix whose spectrum governs convergence.
 
-    With k_i = 0 the integral state decouples completely, so the meaningful
-    part is just -k_p*L_ff; otherwise it is the full PI error matrix.
+    The PI error dynamics [[-k_p*L_ff, -k_i*I], [L_ff, 0]], with the
+    identity sized like L_ff.  With k_i = 0 the integral state decouples
+    completely, so the meaningful part is just -k_p*L_ff.
     """
+    M = np.asarray(L_ff, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"L_ff must be square, got shape {M.shape}")
     if gains.k_i == 0.0:
-        return -gains.k_p * np.asarray(L_ff, dtype=float)
-    return closed_loop_matrix(L_ff, gains)
+        return -gains.k_p * M
+    return _loop_matrix(M, gains)
 
 
 def verify_hurwitz(A: np.ndarray) -> HurwitzReport:

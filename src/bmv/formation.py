@@ -251,19 +251,25 @@ def bearing_function(graph: FormationGraph, config: Configuration) -> np.ndarray
     edge k from its tail to its head.
     """
     ensure_compatible(graph, config)
-    if graph.m == 0:
-        return np.zeros(0)
+    return edge_bearings(graph, config.points).reshape(-1)
+
+
+def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
+    """Bearings (..., m, d) of every edge for positions shaped (..., n, d).
+
+    Raises DegenerateVector naming the first collocated edge found.
+    """
     ends = graph.edge_array
-    diffs = config.points[ends[:, 1]] - config.points[ends[:, 0]]
-    norms = np.linalg.norm(diffs, axis=1)
-    short = np.nonzero(norms <= EPS_DEGENERATE)[0]
+    diffs = points[..., ends[:, 1], :] - points[..., ends[:, 0], :]
+    norms = np.linalg.norm(diffs, axis=-1)
+    short = np.argwhere(norms <= EPS_DEGENERATE)
     if short.size:
-        k = int(short[0])
+        k = int(short[0, -1])
         raise DegenerateVector(
             f"agents {graph.edges[k][0]} and {graph.edges[k][1]} are collocated "
             f"(edge {k})"
         )
-    return (diffs / norms[:, None]).reshape(-1)
+    return diffs / norms[..., None]
 
 
 def desired_bearing(graph: FormationGraph, spec: BearingSpec, i: int, j: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NotLocalizable
 from .formation import BearingSpec, FormationGraph, ensure_aligned
@@ -23,7 +22,7 @@ from .formation import BearingSpec, FormationGraph, ensure_aligned
 # Relative eigenvalue cutoff for calling the follower block positive definite.
 TAU_PD = 1e-9
 
-# The follower solve must reproduce the right-hand side this well.
+# The follower map must reproduce the follower block's equations this well.
 SOLVE_RESIDUAL_TOL = 1e-9
 
 
@@ -98,8 +97,26 @@ class BearingLaplacian:
         return LocalizabilityResult(lam_min > TAU_PD * max(lam_max, 0.0), lam_min)
 
     @cached_property
-    def _ff_factor(self):
-        return cho_factor(self.L_ff, lower=True)
+    def follower_map(self) -> np.ndarray:
+        """T_fl = -L_ff^-1 L_fl, mapping stacked leader to follower targets.
+
+        Raises NotLocalizable on a singular follower block and ArithmeticError
+        unless the Frobenius norm of L_ff T_fl + L_fl, which bounds every
+        target's residual per unit ||p_l||, is below SOLVE_RESIDUAL_TOL.
+        """
+        loc = self.localizability
+        if not loc.localizable:
+            raise NotLocalizable(
+                f"follower block is singular (min eigenvalue {loc.min_eigenvalue:.3e})"
+            )
+        T = -np.linalg.solve(self.L_ff, self.L_fl)
+        residual = np.linalg.norm(self.L_ff @ T + self.L_fl)
+        if residual >= SOLVE_RESIDUAL_TOL:
+            raise ArithmeticError(
+                f"follower solve residual {residual:.3e} exceeds tolerance"
+            )
+        T.setflags(write=False)
+        return T
 
 
 def bearing_laplacian(graph: FormationGraph, spec: BearingSpec) -> BearingLaplacian:
@@ -136,9 +153,7 @@ def target_follower_positions(lap: BearingLaplacian, leader_positions) -> np.nda
     """Solve the follower block for the positions the bearings demand.
 
     ``leader_positions`` is the stacked leader vector (length d*n_leaders);
-    the result is the stacked follower vector.  Uses a Cholesky factorization
-    of the follower block and verifies the residual instead of forming an
-    inverse.
+    the result is the stacked follower vector, T_fl @ p_l.
     """
     p_l = np.asarray(leader_positions, dtype=float).reshape(-1)
     if p_l.size != lap.d * lap.n_leaders:
@@ -146,18 +161,4 @@ def target_follower_positions(lap: BearingLaplacian, leader_positions) -> np.nda
             f"expected {lap.d * lap.n_leaders} stacked leader coordinates, "
             f"got {p_l.size}"
         )
-    if lap.n_followers == 0:
-        return np.zeros(0)
-    loc = lap.localizability
-    if not loc.localizable:
-        raise NotLocalizable(
-            f"follower block is singular (min eigenvalue {loc.min_eigenvalue:.3e})"
-        )
-    rhs = -(lap.L_fl @ p_l)
-    x = cho_solve(lap._ff_factor, rhs)
-    residual = np.linalg.norm(lap.L_ff @ x + lap.L_fl @ p_l)
-    if residual >= SOLVE_RESIDUAL_TOL * (1.0 + np.linalg.norm(p_l)):
-        raise ArithmeticError(
-            f"follower solve residual {residual:.3e} exceeds tolerance"
-        )
-    return x
+    return lap.follower_map @ p_l

@@ -32,8 +32,13 @@ def centroid(config: Configuration) -> np.ndarray:
 
 def scale(config: Configuration) -> float:
     """Root-mean-square distance of the agents from their centroid."""
-    offsets = config.points - config.points.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum(offsets * offsets, axis=1))))
+    return float(rms_radius(config.points))
+
+
+def rms_radius(points: np.ndarray) -> np.ndarray:
+    """``scale`` of positions shaped (..., n, d), one value per formation."""
+    offsets = points - points.mean(axis=-2, keepdims=True)
+    return np.sqrt(np.mean(np.sum(offsets * offsets, axis=-1), axis=-1))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ the reference formation, rigidity and localizability are checked, the
 schedule is resolved segment by segment against the target formation it will
 steer, and the initial state is fixed.  The run itself is a classical
 fixed-step fourth-order Runge-Kutta loop that never steps across a segment
-boundary, so leader paths are integrated exactly and two runs of the same
-scenario agree bit for bit.
+boundary.  Within a segment the closed loop is one linear system with
+constant input, so each step applies that system's exact RK4 propagator;
+leader paths are integrated exactly and two runs of the same scenario agree
+bit for bit.  The metrics are one pass over the stored positions afterwards.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import Gains
+from .controller import ClosedLoop, Gains
 from .errors import (
     DimensionMismatch,
     NotLocalizable,
@@ -30,7 +32,7 @@ from .formation import (
     BearingSpec,
     Configuration,
     FormationGraph,
-    bearing_function,
+    edge_bearings,
     ensure_compatible,
 )
 from .laplacian import (
@@ -40,7 +42,7 @@ from .laplacian import (
     check_localizable,
     target_follower_positions,
 )
-from .maneuver import ManeuverCommand, combined_command, scale
+from .maneuver import ManeuverCommand, combined_command, rms_radius, scale
 from .rigidity import RigidityReport, rigidity_report
 
 logger = logging.getLogger(__name__)
@@ -57,6 +59,10 @@ SCALE_FLOOR = 1e-3
 
 # Slack when comparing schedule boundary times.
 TIME_TOL = 1e-9
+
+# The metrics pass reads this many trajectory floats at a time, which bounds
+# its temporaries on wide formations and long runs.
+METRICS_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,7 @@ class SimContext:
     localizability: LocalizabilityResult
     segments: tuple[ResolvedSegment, ...]
     initial_positions: np.ndarray = field(repr=False)
+    loop: ClosedLoop = field(repr=False)
 
     @property
     def graph(self) -> FormationGraph:
@@ -209,14 +216,6 @@ def _validate_schedule(scenario: Scenario) -> None:
         )
 
 
-def _target_configuration(
-    lap: BearingLaplacian, leader_stack: np.ndarray, d: int
-) -> Configuration:
-    followers = target_follower_positions(lap, leader_stack)
-    pts = np.concatenate([leader_stack, followers]).reshape(-1, d)
-    return Configuration(pts)
-
-
 def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     """Validate a scenario and precompute everything a run needs.
 
@@ -262,7 +261,8 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     segments = []
     for seg in scenario.schedule:
         if can_solve:
-            target = _target_configuration(lap, leader_stack, d)
+            followers = target_follower_positions(lap, leader_stack)
+            target = Configuration(np.concatenate([leader_stack, followers]).reshape(-1, d))
         else:
             # Forced run on a non-localizable formation: fall back
             # to the reference shape so commands stay well defined.
@@ -319,32 +319,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         localizability=localizability,
         segments=tuple(segments),
         initial_positions=initial,
-    )
-
-
-def _segment_rhs(lap: BearingLaplacian, gains: Gains, leader_velocity: np.ndarray):
-    L_ff = lap.L_ff
-    L_fl = lap.L_fl
-    split = lap.d * lap.n_leaders
-    k_p, k_i = gains.k_p, gains.k_i
-
-    def rhs(p: np.ndarray, xi: np.ndarray):
-        drive = L_ff @ p[split:] + L_fl @ p[:split]
-        dp = np.concatenate([leader_velocity, -k_p * drive - k_i * xi])
-        return dp, drive
-
-    return rhs
-
-
-def _rk4(rhs, p: np.ndarray, xi: np.ndarray, h: float):
-    k1p, k1x = rhs(p, xi)
-    k2p, k2x = rhs(p + 0.5 * h * k1p, xi + 0.5 * h * k1x)
-    k3p, k3x = rhs(p + 0.5 * h * k2p, xi + 0.5 * h * k2x)
-    k4p, k4x = rhs(p + h * k3p, xi + h * k3x)
-    sixth = h / 6.0
-    return (
-        p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p),
-        xi + sixth * (k1x + 2.0 * (k2x + k3x) + k4x),
+        loop=ClosedLoop.from_laplacian(lap, scenario.gains, scenario.dt),
     )
 
 
@@ -367,8 +342,64 @@ def step(
     p = np.asarray(state[0], dtype=float).reshape(-1)
     xi = np.asarray(state[1], dtype=float).reshape(-1)
     seg = _active_segment(ctx, t)
-    rhs = _segment_rhs(ctx.laplacian, ctx.scenario.gains, seg.leader_velocity)
-    return _rk4(rhs, p, xi, dt)
+    z = ctx.loop.advance(np.concatenate([p, xi]), seg.leader_velocity, dt)
+    return z[: p.size], z[p.size :]
+
+
+def _steps(ctx: SimContext):
+    """Yield (segment, step size, time after the step) for every step of a run."""
+    scenario = ctx.scenario
+    dt = scenario.dt
+    for seg in ctx.segments:
+        t0 = max(seg.t_start, 0.0)
+        t1 = min(seg.t_end, scenario.duration)
+        if t1 <= t0 + TIME_TOL:
+            continue
+        t = t0
+        while t < t1 - TIME_TOL:
+            h = min(dt, t1 - t)
+            t = t + h
+            if t1 - t < TIME_TOL * max(1.0, dt):
+                t = t1
+            yield seg, h, t
+        if t1 >= scenario.duration - TIME_TOL:
+            break
+
+
+def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
+    """The metric columns of a trajectory, in blocks of samples.
+
+    Raises ValueError on non-finite positions and DegenerateVector on
+    collocated neighbours.
+    """
+    graph = ctx.graph
+    n, d, split = graph.n, graph.d, graph.d * graph.n_leaders
+    samples = positions.shape[0]
+    out = {
+        "bearing_error": np.empty(samples),
+        # A forced run without a unique target leaves tracking undefined;
+        # with no followers the follower map is empty and the error zero.
+        "tracking_error": np.full(samples, np.nan),
+        "centroid": np.empty((samples, d)),
+        "scale": np.empty(samples),
+    }
+    rows = max(1, METRICS_BLOCK_ELEMENTS // (d * max(n, graph.m)))
+    for start in range(0, samples, rows):
+        block = slice(start, start + rows)
+        p = positions[block]
+        if not np.all(np.isfinite(p)):
+            raise ValueError("positions contain non-finite entries")
+        pts = p.reshape(-1, n, d)
+        bearings = edge_bearings(graph, pts)
+        out["bearing_error"][block] = np.linalg.norm(
+            bearings - ctx.bearing_spec.vectors, axis=-1
+        ).sum(axis=-1)
+        out["centroid"][block] = pts.mean(axis=1)
+        out["scale"][block] = rms_radius(pts)
+        if ctx.localizability.localizable:
+            targets = p[:, :split] @ ctx.laplacian.follower_map.T
+            out["tracking_error"][block] = np.linalg.norm(p[:, split:] - targets, axis=1)
+    return out
 
 
 def run(ctx: SimContext) -> Trajectory:
@@ -379,79 +410,19 @@ def run(ctx: SimContext) -> Trajectory:
     every step: total bearing mismatch, distance of the followers from their
     current targets, and the formation's centroid and scale.
     """
-    scenario = ctx.scenario
-    graph = scenario.graph
-    lap = ctx.laplacian
-    spec_vectors = ctx.bearing_spec.vectors
-    d, n = graph.d, graph.n
-    split = d * graph.n_leaders
-    dt = scenario.dt
-    can_track = ctx.localizability.localizable
-
-    p = ctx.initial_positions.copy()
-    xi = np.zeros(d * graph.n_followers)
-
-    times = [0.0]
-    positions = [p.copy()]
-    xis = [xi.copy()]
-    bearing_errors = []
-    tracking_errors = []
-    centroids = []
-    scales = []
-
-    def record_metrics(p_now: np.ndarray) -> None:
-        pts = p_now.reshape(n, d)
-        cfg = Configuration(pts)
-        stacked_bearings = bearing_function(graph, cfg).reshape(graph.m, d)
-        bearing_errors.append(
-            float(np.linalg.norm(stacked_bearings - spec_vectors, axis=1).sum())
-        )
-        if graph.n_followers == 0:
-            tracking_errors.append(0.0)
-        elif can_track:
-            target_f = target_follower_positions(lap, p_now[:split])
-            tracking_errors.append(float(np.linalg.norm(p_now[split:] - target_f)))
-        else:
-            # Forced run without a unique target: the metric is undefined.
-            tracking_errors.append(float("nan"))
-        mean = pts.mean(axis=0)
-        centroids.append(mean)
-        offsets = pts - mean
-        scales.append(float(np.sqrt(np.mean(np.sum(offsets * offsets, axis=1)))))
-
-    record_metrics(p)
-
-    for seg in ctx.segments:
-        t0 = max(seg.t_start, 0.0)
-        t1 = min(seg.t_end, scenario.duration)
-        if t1 <= t0 + TIME_TOL:
-            continue
-        rhs = _segment_rhs(lap, scenario.gains, seg.leader_velocity)
-        t = t0
-        while t < t1 - TIME_TOL:
-            h = min(dt, t1 - t)
-            p, xi = _rk4(rhs, p, xi, h)
-            t = t + h
-            if t1 - t < TIME_TOL * max(1.0, dt):
-                t = t1
-            times.append(t)
-            positions.append(p.copy())
-            xis.append(xi.copy())
-            record_metrics(p)
-        if t1 >= scenario.duration - TIME_TOL:
-            break
-
+    graph = ctx.graph
+    nd = graph.n * graph.d
+    steps = list(_steps(ctx))
+    states = np.zeros((len(steps) + 1, ctx.loop.A.shape[0]))
+    states[0, :nd] = ctx.initial_positions
+    for k, (seg, h, _) in enumerate(steps, start=1):
+        states[k] = ctx.loop.advance(states[k - 1], seg.leader_velocity, h)
     return Trajectory(
-        d=d,
-        n=n,
-        n_leaders=graph.n_leaders,
-        times=np.array(times),
-        positions=np.array(positions),
-        xi=np.array(xis),
-        bearing_error=np.array(bearing_errors),
-        tracking_error=np.array(tracking_errors),
-        centroid=np.array(centroids),
-        scale=np.array(scales),
+        d=graph.d, n=graph.n, n_leaders=graph.n_leaders,
+        times=np.array([0.0] + [t for _, _, t in steps]),
+        positions=states[:, :nd],
+        xi=states[:, nd:],
+        **_metrics(ctx, states[:, :nd]),
     )
 
 

@@ -27,8 +27,8 @@ from bmv import (
     bearing_laplacian,
     bearing_rigidity_matrix,
     check_localizable,
-    closed_loop_matrix,
     combined_command,
+    effective_closed_loop_matrix,
     exponential_fit,
     full_velocity_stack,
     rigidity_report,
@@ -175,7 +175,7 @@ def test_criterion_5_closed_loop_hurwitz_and_spectrum_relation():
             if not result.localizable or result.min_eigenvalue < 1e-3:
                 continue
             gains = Gains(float(rng.uniform(0.3, 4.0)), float(rng.uniform(0.2, 4.0)))
-            report = verify_hurwitz(closed_loop_matrix(lap.L_ff, gains))
+            report = verify_hurwitz(effective_closed_loop_matrix(lap.L_ff, gains))
             assert report.is_hurwitz
             assert report.max_real_part < 0.0
             # every closed-loop eigenvalue pairs with a follower-block
@@ -196,7 +196,7 @@ def test_criterion_6_tracking_converges_at_predicted_rate():
         gains = MANEUVER_GAINS
         spec = BearingSpec.from_configuration(graph, ref)
         lap = bearing_laplacian(graph, spec)
-        report = verify_hurwitz(closed_loop_matrix(lap.L_ff, gains))
+        report = verify_hurwitz(effective_closed_loop_matrix(lap.L_ff, gains))
         assert report.is_hurwitz
         horizon = 12.0 / abs(report.max_real_part)
 

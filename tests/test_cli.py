@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmv
 from bmv import ParseError, assemble, run
 from bmv.cli import (
     EXIT_INPUT,
@@ -103,6 +108,12 @@ def test_parse_orders_leaders_first():
         (lambda d: d.update(duration="long"), "duration"),
         (lambda d: d.update(seed=1.5), "seed"),
         (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d.update(duration=math.inf), "duration"),
+        (lambda d: d.update(duration=math.nan), "duration"),
+        (lambda d: d.update(dt=math.inf), "dt"),
+        (lambda d: d.update(dt=math.nan), "dt"),
+        (lambda d: d["schedule"][0].update(t1=math.inf), "t1"),
+        (lambda d: d["schedule"][0].update(t1=math.nan), "t1"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, fragment):
@@ -217,17 +228,22 @@ def test_run_csv_values_roundtrip_exactly(scenario_file, tmp_path):
 
 
 def test_run_decimate_and_xi(scenario_file, tmp_path):
-    outdir = tmp_path / "out"
-    code = main([
-        "run", str(scenario_file), "--out", str(outdir),
-        "--decimate", "100", "--dump-xi",
-    ])
-    assert code == EXIT_OK
-    lines = (outdir / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 1 + 11  # every 100th of 1001 samples
-    xi_lines = (outdir / "xi.csv").read_text().splitlines()
-    assert xi_lines[0] == "t,c_x,c_y,d_x,d_y"
-    assert len(xi_lines) == len(lines)
+    # every 100th of 1001 samples; every 7th does not reach the last one,
+    # which is written anyway
+    for decimate, rows in ((100, 11), (7, 144)):
+        outdir = tmp_path / f"out{decimate}"
+        code = main([
+            "run", str(scenario_file), "--out", str(outdir),
+            "--decimate", str(decimate), "--dump-xi",
+        ])
+        assert code == EXIT_OK
+        lines = (outdir / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + rows
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert float(lines[-1].split(",")[0]) == summary["final"]["time"]
+        xi_lines = (outdir / "xi.csv").read_text().splitlines()
+        assert xi_lines[0] == "t,c_x,c_y,d_x,d_y"
+        assert [x.split(",")[0] for x in xi_lines] == [x.split(",")[0] for x in lines]
 
 
 def test_run_overrides_recorded_in_summary(scenario_file, tmp_path):
@@ -317,3 +333,25 @@ def test_batch_deduplicates_output_names(tmp_path):
 def test_rejects_nonpositive_decimate(scenario_file, capsys):
     with pytest.raises(SystemExit):
         main(["run", str(scenario_file), "--decimate", "0"])
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+def test_bad_dt_override_is_an_input_error(scenario_file, capsys, dt):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(scenario_file), "--dt", dt])
+    assert exc.value.code == EXIT_INPUT
+    assert "--dt" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(bmv.__file__).resolve().parents[1]
+    probe = (
+        "import sys, bmv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,18 +1,19 @@
 """PI control law: local form vs stacked form, spectrum structure."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bmv import (
     BearingSpec,
+    ClosedLoop,
     Configuration,
-    ControllerState,
     DimensionMismatch,
     FormationGraph,
     Gains,
     UnknownNeighbor,
     bearing_laplacian,
-    closed_loop_matrix,
     effective_closed_loop_matrix,
     follower_velocity,
     stacked_dynamics,
@@ -31,13 +32,6 @@ def test_gains_validation():
         Gains(k_p=1.0, k_i=-0.1)
     with pytest.raises(ValueError):
         Gains(k_p=float("nan"), k_i=1.0)
-
-
-def test_controller_state_zeros():
-    state = ControllerState.zeros(3, 2)
-    assert state.xi.shape == (6,)
-    with pytest.raises(ValueError):
-        state.xi[0] = 1.0
 
 
 def test_local_law_matches_stacked_form():
@@ -105,11 +99,67 @@ def test_follower_velocity_rejects_leaders_and_bad_neighbor_sets(
 def test_closed_loop_matrix_blocks():
     M = np.array([[2.0, -1.0], [-1.0, 3.0]])
     gains = Gains(k_p=1.5, k_i=0.25)
-    A = closed_loop_matrix(M, gains)
+    A = effective_closed_loop_matrix(M, gains)
     np.testing.assert_allclose(A[:2, :2], -1.5 * M)
     np.testing.assert_allclose(A[:2, 2:], -0.25 * np.eye(2))
     np.testing.assert_allclose(A[2:, :2], M)
     np.testing.assert_allclose(A[2:, 2:], np.zeros((2, 2)))
+
+
+def test_closed_loop_state_matrix_blocks(square_graph, square_config):
+    # z = [p_l, p_f, xi]: leaders integrate the input, followers run the law
+    spec = BearingSpec.from_configuration(square_graph, square_config)
+    lap = bearing_laplacian(square_graph, spec)
+    loop = ClosedLoop.from_laplacian(lap, Gains(k_p=1.5, k_i=0.25), dt=0.01)
+    A = loop.A
+    assert loop.n_inputs == 4
+    np.testing.assert_array_equal(A[:4], np.zeros((4, 12)))
+    np.testing.assert_allclose(A[4:8, :4], -1.5 * lap.L_fl)
+    np.testing.assert_allclose(A[8:, :4], lap.L_fl)
+    np.testing.assert_array_equal(
+        A[4:, 4:], effective_closed_loop_matrix(lap.L_ff, Gains(1.5, 0.25))
+    )
+
+
+def _rk4_stages(lap, gains, p, xi, v, h):
+    """One classical RK4 step written stage by stage on stacked_dynamics."""
+    def rhs(p, xi):
+        return stacked_dynamics(lap, p, xi, gains, v)
+
+    k1p, k1x = rhs(p, xi)
+    k2p, k2x = rhs(p + 0.5 * h * k1p, xi + 0.5 * h * k1x)
+    k3p, k3x = rhs(p + 0.5 * h * k2p, xi + 0.5 * h * k2x)
+    k4p, k4x = rhs(p + h * k3p, xi + h * k3x)
+    return (
+        p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
+        xi + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+    )
+
+
+def test_propagator_is_one_rk4_step():
+    rng = np.random.default_rng(43)
+    graph, ref = random_formation(rng, 6, 3, n_leaders=2, edge_prob=0.8)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
+    gains = Gains(k_p=2.5, k_i=1.5)
+    loop = ClosedLoop.from_laplacian(lap, gains, dt=0.05)
+    p = ref.stacked + rng.normal(scale=0.1, size=18)
+    xi = rng.normal(size=12)
+    v = rng.normal(size=6)
+    # the kept pair for dt, and the vector form for any other step
+    for h in (0.05, 0.0173):
+        z = loop.advance(np.concatenate([p, xi]), v, h)
+        p_ref, xi_ref = _rk4_stages(lap, gains, p, xi, v, h)
+        np.testing.assert_allclose(z[:18], p_ref, atol=1e-13)
+        np.testing.assert_allclose(z[18:], xi_ref, atol=1e-13)
+    # Phi is the degree-4 Taylor polynomial of exp(hA)
+    h = 0.05
+    phi, gamma = loop.propagator
+    hA = h * loop.A
+    taylor = sum(
+        np.linalg.matrix_power(hA, k) / math.factorial(k) for k in range(5)
+    )
+    np.testing.assert_allclose(phi, taylor, atol=1e-14)
+    np.testing.assert_allclose(gamma[:6], h * np.eye(6), atol=1e-15)
 
 
 def test_effective_matrix_drops_integrator_when_ki_zero():
@@ -124,7 +174,7 @@ def test_spectrum_on_diagonal_follower_block():
     # With L_ff = diag(1, 4), kp = 3, ki = 2 each mode factors by hand:
     #   sigma=1: s^2 + 3s + 2   -> roots -1, -2
     #   sigma=4: s^2 + 12s + 8  -> roots -6 +- sqrt(28)
-    A = closed_loop_matrix(np.diag([1.0, 4.0]), Gains(k_p=3.0, k_i=2.0))
+    A = effective_closed_loop_matrix(np.diag([1.0, 4.0]), Gains(k_p=3.0, k_i=2.0))
     report = verify_hurwitz(A)
     expected = sorted(
         [-1.0, -2.0, -6.0 + np.sqrt(28.0), -6.0 - np.sqrt(28.0)]
@@ -145,7 +195,7 @@ def test_hurwitz_random_positive_definite_blocks():
         gains = Gains(
             k_p=float(rng.uniform(0.2, 4.0)), k_i=float(rng.uniform(0.2, 4.0))
         )
-        report = verify_hurwitz(closed_loop_matrix(L_ff, gains))
+        report = verify_hurwitz(effective_closed_loop_matrix(L_ff, gains))
         assert report.is_hurwitz, (gains, np.linalg.eigvalsh(L_ff))
 
 
@@ -167,7 +217,7 @@ def test_verify_hurwitz_edge_cases():
 
 
 def test_eigenvalues_sorted_by_real_then_imag():
-    A = closed_loop_matrix(np.diag([1.0, 1.0]), Gains(k_p=1.0, k_i=2.0))
+    A = effective_closed_loop_matrix(np.diag([1.0, 1.0]), Gains(k_p=1.0, k_i=2.0))
     report = verify_hurwitz(A)
     reals = report.eigenvalues.real
     assert np.all(np.diff(reals) >= -1e-12)

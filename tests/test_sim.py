@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmv import (
     Configuration,
+    DegenerateVector,
     DimensionMismatch,
     FormationGraph,
     Gains,
@@ -18,10 +21,12 @@ from bmv import (
     Segment,
     WindowTooShort,
     assemble,
+    bearing_function,
     exponential_fit,
     run,
     scale,
     step,
+    target_follower_positions,
 )
 from conftest import SQUARE_EDGES, SQUARE_POINTS
 
@@ -205,7 +210,20 @@ def test_metrics_match_recomputation():
     ctx = assemble(_square_scenario(duration=0.5))
     traj = run(ctx)
     for k in (0, 17, traj.times.size - 1):
-        pts = traj.positions[k].reshape(4, 2)
+        p = traj.positions[k]
+        bearings = bearing_function(ctx.graph, Configuration.from_stacked(p, 2))
+        np.testing.assert_allclose(
+            traj.bearing_error[k],
+            np.linalg.norm(
+                bearings.reshape(-1, 2) - ctx.bearing_spec.vectors, axis=1
+            ).sum(),
+            atol=1e-14,
+        )
+        target = target_follower_positions(ctx.laplacian, p[:4])
+        np.testing.assert_allclose(
+            traj.tracking_error[k], np.linalg.norm(p[4:] - target), atol=1e-14
+        )
+        pts = p.reshape(4, 2)
         np.testing.assert_allclose(traj.centroid[k], pts.mean(axis=0), atol=1e-14)
         offsets = pts - pts.mean(axis=0)
         np.testing.assert_allclose(
@@ -229,6 +247,110 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.xi, b.xi)
     np.testing.assert_array_equal(a.bearing_error, b.bearing_error)
+
+
+def test_metrics_reject_collocated_and_non_finite_states():
+    collocated = SQUARE_POINTS.copy()
+    collocated[3] = collocated[2]
+    ctx = assemble(_square_scenario(initial_config=Configuration(collocated)))
+    with pytest.raises(DegenerateVector, match="agents 2 and 3"):
+        run(ctx)
+    # far past RK4's stability limit the state overflows to inf, then nan
+    ctx = assemble(
+        _square_scenario(gains=Gains(k_p=1e3, k_i=1.0), dt=0.1, duration=10.0)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            run(ctx)
+
+
+def _stage_rk4_run(ctx):
+    """Reference run: the schedule loop with classical RK4 written stage by
+    stage on the partitioned Laplacian, independent of the simulator's model."""
+    scenario = ctx.scenario
+    lap, gains, dt = ctx.laplacian, scenario.gains, scenario.dt
+    split = lap.d * lap.n_leaders
+
+    def rhs(p, xi, v):
+        drive = lap.L_ff @ p[split:] + lap.L_fl @ p[:split]
+        return np.concatenate([v, -gains.k_p * drive - gains.k_i * xi]), drive
+
+    p = ctx.initial_positions.copy()
+    xi = np.zeros(lap.d * lap.n_followers)
+    times, ps, xis = [0.0], [p], [xi]
+    for seg in ctx.segments:
+        t0 = max(seg.t_start, 0.0)
+        t1 = min(seg.t_end, scenario.duration)
+        if t1 <= t0 + 1e-9:
+            continue
+        v = seg.leader_velocity
+        t = t0
+        while t < t1 - 1e-9:
+            h = min(dt, t1 - t)
+            k1p, k1x = rhs(p, xi, v)
+            k2p, k2x = rhs(p + 0.5 * h * k1p, xi + 0.5 * h * k1x, v)
+            k3p, k3x = rhs(p + 0.5 * h * k2p, xi + 0.5 * h * k2x, v)
+            k4p, k4x = rhs(p + h * k3p, xi + h * k3x, v)
+            p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+            xi = xi + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            t = t + h
+            if t1 - t < 1e-9 * max(1.0, dt):
+                t = t1
+            times.append(t)
+            ps.append(p)
+            xis.append(xi)
+        if t1 >= scenario.duration - 1e-9:
+            break
+    return np.array(times), np.array(ps), np.array(xis)
+
+
+def test_run_matches_stage_by_stage_rk4():
+    # boundaries at 0.75 and 1.3 are off the 0.004 grid: shortened steps
+    schedule = (
+        Segment(0.0, 0.75, np.array([0.3, 0.0])),
+        Segment(0.75, 1.3, np.array([0.0, 0.2]), scale_rate=-0.1),
+        Segment(1.3, 5.0, np.array([-0.1, 0.1]), scale_rate=0.05),
+    )
+    ctx = assemble(_square_scenario(schedule=schedule, duration=2.0, dt=0.004))
+    traj = run(ctx)
+    assert np.any(np.diff(traj.times) < 0.004 - 1e-9)
+    times, positions, xis = _stage_rk4_run(ctx)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_allclose(traj.positions, positions, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.xi, xis, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.1, 10.0),
+    b=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_run_is_equivariant_under_translation_and_scaling(a, b):
+    # bearings ignore p -> a p + b, so the run maps the same way: positions
+    # to a P + b, integral states to a xi, with the leaders' v_c scaled by a
+    b = np.array(b)
+    start = SQUARE_POINTS + np.array([[0.0, 0.0], [0.0, 0.0], [0.08, -0.05], [-0.03, 0.06]])
+
+    def scenario(a, b):
+        return _square_scenario(
+            reference_config=Configuration(a * SQUARE_POINTS + b),
+            initial_config=Configuration(a * start + b),
+            schedule=(
+                Segment(0.0, 0.3, a * np.array([0.4, -0.2])),
+                Segment(0.3, 1.0, a * np.array([0.0, 0.3]), scale_rate=-0.2),
+            ),
+            duration=0.5,
+            dt=0.01,
+        )
+
+    base = run(assemble(scenario(1.0, np.zeros(2))))
+    moved = run(assemble(scenario(a, b)))
+    tol = 1e-10 * (a + float(np.abs(b).max()) + 1.0)
+    np.testing.assert_array_equal(moved.times, base.times)
+    np.testing.assert_allclose(
+        moved.positions, a * base.positions + np.tile(b, 4), rtol=0, atol=tol
+    )
+    np.testing.assert_allclose(moved.xi, a * base.xi, rtol=0, atol=tol)
 
 
 def test_all_leader_formation_runs():
