@@ -14,7 +14,6 @@ from .controller import (
     HurwitzReport,
     effective_closed_loop_matrix,
     follower_velocity,
-    stacked_dynamics,
     verify_hurwitz,
 )
 from .errors import (
@@ -32,10 +31,8 @@ from .formation import (
     BearingSpec,
     Configuration,
     FormationGraph,
-    bearing,
     bearing_function,
     desired_bearing,
-    orthogonal_projector,
 )
 from .laplacian import (
     BearingLaplacian,
@@ -46,13 +43,8 @@ from .laplacian import (
 )
 from .maneuver import (
     ManeuverCommand,
-    centroid,
     combined_command,
-    full_velocity_stack,
     scale,
-    scaling_command,
-    translation_command,
-    validate_command,
 )
 from .rigidity import (
     RigidityReport,
@@ -100,28 +92,20 @@ __all__ = [
     "UnknownNeighbor",
     "WindowTooShort",
     "assemble",
-    "bearing",
     "bearing_function",
     "bearing_laplacian",
     "bearing_rigidity_matrix",
-    "centroid",
     "check_localizable",
     "combined_command",
     "desired_bearing",
     "effective_closed_loop_matrix",
     "exponential_fit",
     "follower_velocity",
-    "full_velocity_stack",
-    "orthogonal_projector",
     "rigidity_report",
     "run",
     "scale",
-    "scaling_command",
-    "stacked_dynamics",
     "step",
     "target_follower_positions",
-    "translation_command",
     "trivial_motion_basis",
-    "validate_command",
     "verify_hurwitz",
 ]

@@ -40,9 +40,7 @@ from .errors import (
     WindowTooShort,
 )
 from .formation import Configuration, FormationGraph
-from .laplacian import bearing_laplacian, check_localizable
 from .maneuver import scale
-from .rigidity import rigidity_report
 from .sim import (
     DEFAULT_DT,
     DEFAULT_GAINS,
@@ -53,6 +51,7 @@ from .sim import (
     assemble,
     exponential_fit,
     run,
+    structure,
 )
 
 logger = logging.getLogger(__name__)
@@ -251,6 +250,16 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     return LoadedScenario(scenario=scenario, labels=labels)
 
 
+def _unique_keys(path: Path, pairs: list) -> dict:
+    """A JSON object's members as a dict; ParseError on a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"{path}: duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path) -> LoadedScenario:
     """Read and parse a scenario file."""
     path = Path(path)
@@ -259,7 +268,7 @@ def load_scenario(path) -> LoadedScenario:
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -458,13 +467,7 @@ def _apply_overrides(loaded: LoadedScenario, args) -> LoadedScenario:
 
 
 def cmd_check(args) -> int:
-    loaded = load_scenario(args.scenario)
-    scenario = loaded.scenario
-    report = rigidity_report(scenario.graph, scenario.reference_config)
-    from .formation import BearingSpec
-
-    spec = BearingSpec.from_configuration(scenario.graph, scenario.reference_config)
-    loc = check_localizable(bearing_laplacian(scenario.graph, spec))
+    _, report, _, loc = structure(load_scenario(args.scenario).scenario)
     lam = loc.min_eigenvalue
     print(f"rank            = {report.rank}")
     print(f"required_rank   = {report.required_rank}")
@@ -513,7 +516,7 @@ def _batch_one(task) -> tuple[str, int, str]:
             EXIT_OK,
             f"bearing_error={traj.bearing_error[-1]:.3e}",
         )
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         return str(path), EXIT_INPUT, str(exc)
     except VALIDATION_ERRORS as exc:
         return str(path), EXIT_VALIDATION, str(exc)
@@ -532,8 +535,11 @@ def cmd_batch(args) -> int:
             name = f"{stem}_{k}"
         names.add(name)
         tasks.append((raw, str(out_root / name), args))
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        # The pool forks all its workers at the first submit, so never ask
+        # for more than there are tasks.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_one, tasks))
     else:
         results = [_batch_one(task) for task in tasks]

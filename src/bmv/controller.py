@@ -21,13 +21,7 @@ from .errors import (
     EigenSolveFailure,
     UnknownNeighbor,
 )
-from .formation import (
-    BearingSpec,
-    Configuration,
-    FormationGraph,
-    desired_bearing,
-    ensure_aligned,
-)
+from .formation import BearingSpec, FormationGraph, desired_bearing, ensure_aligned
 from .laplacian import BearingLaplacian
 
 # An eigenvalue real part above -TAU_HURWITZ disqualifies the matrix.
@@ -150,44 +144,18 @@ class ClosedLoop:
         phi[np.diag_indices_from(phi)] += 1.0
         return phi, S[:, : self.n_inputs].copy()
 
+    def rate(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The state's rate of change, A z + B v."""
+        dz = self.A @ z
+        dz[: self.n_inputs] += v
+        return dz
+
     def advance(self, z: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
         """One RK4 step of length h; other lengths than dt skip the kept pair."""
         if h == self.dt:
             phi, gamma = self.propagator
             return phi @ z + gamma @ v
-        rate = self.A @ z
-        rate[: self.n_inputs] += v
-        return z + self._rk4_sum(h, rate)
-
-
-def stacked_dynamics(
-    lap: BearingLaplacian,
-    positions,
-    xi,
-    gains: Gains,
-    leader_velocity,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the closed loop in stacked form.
-
-    Leaders move at ``leader_velocity`` (stacked, length d*n_leaders);
-    followers run the PI law.  Returns (dp, dxi) with dp covering all agents
-    and dxi the followers.
-    """
-    p = positions.stacked if isinstance(positions, Configuration) else positions
-    p = np.asarray(p, dtype=float).reshape(-1)
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    v_l = np.asarray(leader_velocity, dtype=float).reshape(-1)
-    split = lap.d * lap.n_leaders
-    for got, expected, what in (
-        (p.size, lap.d * lap.n, "stacked coordinates"),
-        (x.size, lap.d * lap.n_followers, "integral coordinates"),
-        (v_l.size, split, "stacked leader velocities"),
-    ):
-        if got != expected:
-            raise DimensionMismatch(f"expected {expected} {what}, got {got}")
-    dz = _loop_matrix(lap.matrix[split:], gains) @ np.concatenate([p, x])
-    dz[:split] += v_l
-    return dz[: p.size], dz[p.size :]
+        return z + self._rk4_sum(h, self.rate(z, v))
 
 
 def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 A formation is an interaction graph plus a configuration of agent positions.
 The quantities everything else is built from live here: unit bearing vectors
-along edges, the orthogonal projector that turns a bearing into a constraint,
-and the stacked bearing map of a whole formation.
+along edges and the stacked bearing map of a whole formation.
 
 All types are immutable; operations are pure functions on them.
 """
@@ -148,9 +147,6 @@ class Configuration:
         """Positions as one vector, agent by agent."""
         return self.points.reshape(-1)
 
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
-
 
 @dataclass(frozen=True)
 class BearingSpec:
@@ -215,33 +211,6 @@ def ensure_aligned(graph: FormationGraph, spec: BearingSpec) -> None:
         raise DimensionMismatch(
             f"graph is {graph.d}-dimensional but bearing spec is {spec.d}-dimensional"
         )
-
-
-def orthogonal_projector(x) -> np.ndarray:
-    """Projector onto the orthogonal complement of a nonzero vector.
-
-    P = I - (x/|x|)(x/|x|)^T.  P is symmetric, idempotent, positive
-    semidefinite, and its null space is exactly span{x}.
-    """
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if norm <= EPS_DEGENERATE:
-        raise DegenerateVector(f"cannot project along a zero vector (|x|={norm!r})")
-    g = vec / norm
-    return np.eye(vec.size) - np.outer(g, g)
-
-
-def bearing(p_i, p_j) -> np.ndarray:
-    """Unit vector pointing from position p_i toward position p_j."""
-    a = np.asarray(p_i, dtype=float).reshape(-1)
-    b = np.asarray(p_j, dtype=float).reshape(-1)
-    if a.size != b.size:
-        raise DimensionMismatch(f"positions have sizes {a.size} and {b.size}")
-    diff = b - a
-    norm = np.linalg.norm(diff)
-    if norm <= EPS_DEGENERATE:
-        raise DegenerateVector(f"agents are collocated (separation {norm!r})")
-    return diff / norm
 
 
 def bearing_function(graph: FormationGraph, config: Configuration) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVector
-from .formation import Configuration, FormationGraph, ensure_compatible
+from .formation import Configuration, FormationGraph, edge_bearings, ensure_compatible
 
 # Relative singular-value cutoff for the numerical rank.
 TAU_RANK = 1e-9
@@ -41,16 +41,12 @@ def bearing_rigidity_matrix(graph: FormationGraph, config: Configuration) -> np.
     """
     ensure_compatible(graph, config)
     d, n, m = graph.d, graph.n, graph.m
+    bearings = edge_bearings(graph, config.points)
     R = np.zeros((d * m, d * n))
     eye = np.eye(d)
     for k, (i, j) in enumerate(graph.edges):
-        diff = config.points[j] - config.points[i]
-        dist = np.linalg.norm(diff)
-        if dist <= 1e-12:
-            raise DegenerateVector(
-                f"agents {i} and {j} are collocated (edge {k})"
-            )
-        g = diff / dist
+        g = bearings[k]
+        dist = np.linalg.norm(config.points[j] - config.points[i])
         block = (eye - np.outer(g, g)) / dist
         rows = slice(d * k, d * (k + 1))
         R[rows, d * i : d * (i + 1)] = -block

@@ -64,6 +64,9 @@ TIME_TOL = 1e-9
 # its temporaries on wide formations and long runs.
 METRICS_BLOCK_ELEMENTS = 1 << 18
 
+# A run stores every state; it may hold at most this many floats (512 MiB).
+MAX_RUN_ELEMENTS = 1 << 26
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -216,6 +219,17 @@ def _validate_schedule(scenario: Scenario) -> None:
         )
 
 
+def structure(
+    scenario: Scenario,
+) -> tuple[BearingSpec, RigidityReport, BearingLaplacian, LocalizabilityResult]:
+    """The reference formation's bearings, rigidity, Laplacian and localizability."""
+    graph = scenario.graph
+    ref = scenario.reference_config
+    spec = BearingSpec.from_configuration(graph, ref)
+    lap = bearing_laplacian(graph, spec)
+    return spec, rigidity_report(graph, ref), lap, check_localizable(lap)
+
+
 def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     """Validate a scenario and precompute everything a run needs.
 
@@ -226,10 +240,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     """
     graph = scenario.graph
     ref = scenario.reference_config
-    spec = BearingSpec.from_configuration(graph, ref)
-    rigidity = rigidity_report(graph, ref)
-    lap = bearing_laplacian(graph, spec)
-    localizability = check_localizable(lap)
+    spec, rigidity, lap, localizability = structure(scenario)
 
     if not rigidity.is_infinitesimally_bearing_rigid:
         message = (
@@ -346,15 +357,23 @@ def step(
     return z[: p.size], z[p.size :]
 
 
-def _steps(ctx: SimContext):
-    """Yield (segment, step size, time after the step) for every step of a run."""
-    scenario = ctx.scenario
-    dt = scenario.dt
+def _spans(ctx: SimContext):
+    """Yield (segment, start, end) for every segment a run integrates."""
+    duration = ctx.scenario.duration
     for seg in ctx.segments:
         t0 = max(seg.t_start, 0.0)
-        t1 = min(seg.t_end, scenario.duration)
+        t1 = min(seg.t_end, duration)
         if t1 <= t0 + TIME_TOL:
             continue
+        yield seg, t0, t1
+        if t1 >= duration - TIME_TOL:
+            break
+
+
+def _steps(ctx: SimContext):
+    """Yield (segment, step size, time after the step) for every step of a run."""
+    dt = ctx.scenario.dt
+    for seg, t0, t1 in _spans(ctx):
         t = t0
         while t < t1 - TIME_TOL:
             h = min(dt, t1 - t)
@@ -362,8 +381,6 @@ def _steps(ctx: SimContext):
             if t1 - t < TIME_TOL * max(1.0, dt):
                 t = t1
             yield seg, h, t
-        if t1 >= scenario.duration - TIME_TOL:
-            break
 
 
 def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
@@ -408,18 +425,32 @@ def run(ctx: SimContext) -> Trajectory:
     The step size is the scenario dt, shortened at each segment boundary so
     the integrator lands on it exactly.  Metrics are sampled at t=0 and after
     every step: total bearing mismatch, distance of the followers from their
-    current targets, and the formation's centroid and scale.
+    current targets, and the formation's centroid and scale.  Raises
+    ValueError before integrating when the states would exceed
+    MAX_RUN_ELEMENTS floats.
     """
     graph = ctx.graph
     nd = graph.n * graph.d
-    steps = list(_steps(ctx))
-    states = np.zeros((len(steps) + 1, ctx.loop.A.shape[0]))
+    width = ctx.loop.A.shape[0]
+    spans = [(t1 - t0) / ctx.scenario.dt for _, t0, t1 in _spans(ctx)]
+    # Each segment takes at most ceil(span / dt) steps, plus one for rounding.
+    rows = sum(spans) + 2 * len(spans) + 1
+    if not rows * width <= MAX_RUN_ELEMENTS:
+        raise ValueError(
+            f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
+            f"more than the {MAX_RUN_ELEMENTS} floats a run may store"
+        )
+    states = np.zeros((int(rows), width))
+    times = np.zeros(int(rows))
     states[0, :nd] = ctx.initial_positions
-    for k, (seg, h, _) in enumerate(steps, start=1):
+    k = 0
+    for k, (seg, h, t) in enumerate(_steps(ctx), start=1):
         states[k] = ctx.loop.advance(states[k - 1], seg.leader_velocity, h)
+        times[k] = t
+    states = states[: k + 1]
     return Trajectory(
         d=graph.d, n=graph.n, n_leaders=graph.n_leaders,
-        times=np.array([0.0] + [t for _, _, t in steps]),
+        times=times[: k + 1],
         positions=states[:, :nd],
         xi=states[:, nd:],
         **_metrics(ctx, states[:, :nd]),

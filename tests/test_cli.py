@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bmv
+import bmv.cli
 from bmv import ParseError, assemble, run
 from bmv.cli import (
     EXIT_INPUT,
@@ -150,6 +153,16 @@ def test_load_scenario_reports_json_position(tmp_path):
         load_scenario(path)
     with pytest.raises(ParseError, match="cannot read"):
         load_scenario(tmp_path / "missing.json")
+
+
+def test_load_scenario_rejects_duplicate_keys(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    text = json.dumps(small_doc())
+    path.write_text(text.replace('"duration": 1.0', '"duration": 1.0, "duration": 24.0'))
+    with pytest.raises(ParseError, match="duplicate key 'duration'"):
+        load_scenario(path)
+    assert main(["check", str(path)]) == EXIT_INPUT
+    assert "duplicate key 'duration'" in capsys.readouterr().err
 
 
 def test_document_roundtrip():
@@ -314,6 +327,72 @@ def test_batch_parallel_workers(scenario_file, tmp_path):
     assert code == EXIT_OK
     assert (out_root / "square" / "trajectory.csv").exists()
     assert (out_root / "square2" / "trajectory.csv").exists()
+
+
+def test_batch_keeps_finished_results_when_an_output_fails(scenario_file, tmp_path, capsys):
+    other = tmp_path / "square2.json"
+    other.write_text(json.dumps(small_doc(seed=9)))
+    out_root = tmp_path / "batch"
+    out_root.mkdir()
+    (out_root / "square2").touch()  # a file where the bundle directory goes
+    code = main([
+        "batch", str(scenario_file), str(other), "--out", str(out_root),
+        "--decimate", "50",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_INPUT
+    assert lines[0].startswith("ok") and "square.json" in lines[0]
+    assert lines[1].startswith("FAILED") and "square2.json" in lines[1]
+    assert (out_root / "square" / "summary.json").exists()
+
+
+def test_batch_forks_no_more_workers_than_scenarios(scenario_file, tmp_path, monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bmv.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    other = tmp_path / "square2.json"
+    other.write_text(json.dumps(small_doc(seed=9)))
+    out_root = tmp_path / "batch"
+    code = main([
+        "batch", str(scenario_file), str(other), "--out", str(out_root),
+        "--workers", "64", "--decimate", "50",
+    ])
+    assert code == EXIT_OK
+    assert asked == [2]
+    # one scenario runs in process, without a pool
+    assert main(["batch", str(scenario_file), "--out", str(out_root),
+                 "--workers", "64", "--decimate", "50"]) == EXIT_OK
+    assert asked == [2]
+
+
+def test_run_refuses_unbounded_step_count(scenario_file, tmp_path, capsys):
+    # 1e9 steps would need 1.2e10 floats; the run must refuse before allocating
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code = main(["run", str(scenario_file), "--dt", "1e-9", "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
+    assert "about 1e+09 steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_deduplicates_output_names(tmp_path):

@@ -16,7 +16,6 @@ from bmv import (
     bearing_laplacian,
     effective_closed_loop_matrix,
     follower_velocity,
-    stacked_dynamics,
     verify_hurwitz,
 )
 from conftest import random_formation
@@ -47,11 +46,13 @@ def test_local_law_matches_stacked_form():
         xi = rng.normal(size=4 * 2)
         v_l = rng.normal(size=2 * 2)
 
-        dp, dxi = stacked_dynamics(lap, current, xi, gains, v_l)
+        loop = ClosedLoop.from_laplacian(lap, gains, dt=0.01)
+        dz = loop.rate(np.concatenate([current.stacked, xi]), v_l)
+        dp, dxi = dz[:12], dz[12:]
 
         for i in range(2, 6):
             rel = {
-                j: current.point(i) - current.point(j)
+                j: current.points[i] - current.points[j]
                 for j in graph.neighbors(i)
             }
             xi_i = xi[(i - 2) * 2 : (i - 1) * 2]
@@ -65,12 +66,9 @@ def test_local_law_matches_stacked_form():
 def test_stacked_dynamics_at_equilibrium(square_graph, square_config):
     spec = BearingSpec.from_configuration(square_graph, square_config)
     lap = bearing_laplacian(square_graph, spec)
-    gains = Gains(k_p=2.0, k_i=1.0)
-    dp, dxi = stacked_dynamics(
-        lap, square_config, np.zeros(4), gains, np.zeros(4)
-    )
-    np.testing.assert_allclose(dp, np.zeros(8), atol=1e-13)
-    np.testing.assert_allclose(dxi, np.zeros(4), atol=1e-13)
+    loop = ClosedLoop.from_laplacian(lap, Gains(k_p=2.0, k_i=1.0), dt=0.01)
+    dz = loop.rate(np.concatenate([square_config.stacked, np.zeros(4)]), np.zeros(4))
+    np.testing.assert_allclose(dz, np.zeros(12), atol=1e-13)
 
 
 def test_follower_velocity_rejects_leaders_and_bad_neighbor_sets(
@@ -79,7 +77,7 @@ def test_follower_velocity_rejects_leaders_and_bad_neighbor_sets(
     spec = BearingSpec.from_configuration(square_graph, square_config)
     gains = Gains(k_p=1.0, k_i=1.0)
     rel_full = {
-        j: square_config.point(2) - square_config.point(j)
+        j: square_config.points[2] - square_config.points[j]
         for j in square_graph.neighbors(2)
     }
     with pytest.raises(ValueError, match="not a follower"):
@@ -122,9 +120,15 @@ def test_closed_loop_state_matrix_blocks(square_graph, square_config):
 
 
 def _rk4_stages(lap, gains, p, xi, v, h):
-    """One classical RK4 step written stage by stage on stacked_dynamics."""
+    """One classical RK4 step written stage by stage on the stacked law."""
     def rhs(p, xi):
-        return stacked_dynamics(lap, p, xi, gains, v)
+        # followers run the PI law on their Laplacian rows; leaders move at v
+        drive = lap.matrix @ p
+        split = v.size
+        return (
+            np.concatenate([v, -gains.k_p * drive[split:] - gains.k_i * xi]),
+            drive[split:],
+        )
 
     k1p, k1x = rhs(p, xi)
     k2p, k2x = rhs(p + 0.5 * h * k1p, xi + 0.5 * h * k1x)
@@ -221,15 +225,3 @@ def test_eigenvalues_sorted_by_real_then_imag():
     report = verify_hurwitz(A)
     reals = report.eigenvalues.real
     assert np.all(np.diff(reals) >= -1e-12)
-
-
-def test_stacked_dynamics_validates_sizes(square_graph, square_config):
-    spec = BearingSpec.from_configuration(square_graph, square_config)
-    lap = bearing_laplacian(square_graph, spec)
-    gains = Gains(k_p=1.0, k_i=1.0)
-    with pytest.raises(DimensionMismatch):
-        stacked_dynamics(lap, np.zeros(7), np.zeros(4), gains, np.zeros(4))
-    with pytest.raises(DimensionMismatch):
-        stacked_dynamics(lap, np.zeros(8), np.zeros(3), gains, np.zeros(4))
-    with pytest.raises(DimensionMismatch):
-        stacked_dynamics(lap, np.zeros(8), np.zeros(4), gains, np.zeros(5))

@@ -1,4 +1,4 @@
-"""Geometry primitives: projectors, bearings, graphs, stacked bearing map."""
+"""Geometry primitives: edge projectors, bearings, graphs, stacked bearing map."""
 
 import math
 
@@ -12,10 +12,9 @@ from bmv import (
     DimensionMismatch,
     FormationGraph,
     UnknownNeighbor,
-    bearing,
     bearing_function,
+    bearing_laplacian,
     desired_bearing,
-    orthogonal_projector,
 )
 from bmv.formation import ensure_aligned, ensure_compatible
 
@@ -23,11 +22,20 @@ from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
 # ---------------------------------------------------------------------------
-# orthogonal projector
+# edge projectors: the Laplacian block of edge (i, j) is -P_g, g its bearing
+
+def _edge_projector(x) -> np.ndarray:
+    """Off-diagonal Laplacian block of a two-agent formation along x."""
+    x = np.asarray(x, dtype=float)
+    graph = FormationGraph(n=2, d=x.size, edges=((0, 1),), n_leaders=1)
+    config = Configuration(np.stack([np.zeros(x.size), x]))
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, config))
+    return -lap.L_lf
+
 
 def test_projector_of_diagonal_vector():
     # P for (1, 1): worked out by hand.
-    P = orthogonal_projector([1.0, 1.0])
+    P = _edge_projector([1.0, 1.0])
     np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
@@ -38,7 +46,7 @@ def test_projector_properties_random():
         x = rng.normal(size=d)
         if np.linalg.norm(x) < 1e-6:
             continue
-        P = orthogonal_projector(x)
+        P = _edge_projector(x)
         np.testing.assert_allclose(P, P.T, atol=1e-14)
         np.testing.assert_allclose(P @ P, P, atol=1e-14)
         # annihilates its own direction, fixes anything orthogonal
@@ -49,37 +57,45 @@ def test_projector_properties_random():
 def test_projector_scale_invariant():
     x = np.array([0.3, -1.2, 0.5])
     np.testing.assert_allclose(
-        orthogonal_projector(x), orthogonal_projector(40.0 * x), atol=1e-14
+        _edge_projector(x), _edge_projector(40.0 * x), atol=1e-14
     )
 
 
 def test_projector_rejects_zero_vector():
     with pytest.raises(DegenerateVector):
-        orthogonal_projector(np.zeros(3))
+        _edge_projector(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
-# bearings
+# bearings of single edges
+
+def _bearing(p_i, p_j) -> np.ndarray:
+    """Bearing from p_i to p_j through the stacked map of a one-edge graph."""
+    pts = np.array([p_i, p_j], dtype=float)
+    graph = FormationGraph(n=2, d=pts.shape[1], edges=((0, 1),), n_leaders=1)
+    return bearing_function(graph, Configuration(pts))
+
 
 def test_bearing_unit_diagonal():
-    g = bearing([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    g = _bearing([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(g, np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-15)
 
 
 def test_bearing_antisymmetric():
     p = np.array([0.2, 1.4])
     q = np.array([-1.0, 0.7])
-    np.testing.assert_allclose(bearing(p, q), -bearing(q, p), atol=1e-15)
+    np.testing.assert_allclose(_bearing(p, q), -_bearing(q, p), atol=1e-15)
 
 
 def test_bearing_collocated_raises():
     with pytest.raises(DegenerateVector):
-        bearing([1.0, 2.0], [1.0, 2.0])
+        _bearing([1.0, 2.0], [1.0, 2.0])
 
 
 def test_bearing_dimension_mismatch():
+    graph = FormationGraph(n=2, d=2, edges=((0, 1),), n_leaders=1)
     with pytest.raises(DimensionMismatch):
-        bearing([0.0, 0.0], [1.0, 1.0, 1.0])
+        bearing_function(graph, Configuration(np.zeros((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +155,7 @@ def test_configuration_stacking_roundtrip():
     cfg = Configuration(pts)
     again = Configuration.from_stacked(cfg.stacked, 3)
     np.testing.assert_array_equal(again.points, cfg.points)
-    np.testing.assert_allclose(cfg.point(4), pts[4])
+    np.testing.assert_array_equal(cfg.stacked[12:15], pts[4])
 
 
 def test_configuration_rejects_bad_input():
@@ -200,8 +216,9 @@ def test_bearing_function_matches_pairwise():
         graph, cfg = random_formation(rng, n=6, d=3, edge_prob=0.7)
         stacked = bearing_function(graph, cfg).reshape(graph.m, 3)
         for k, (i, j) in enumerate(graph.edges):
+            diff = cfg.points[j] - cfg.points[i]
             np.testing.assert_allclose(
-                stacked[k], bearing(cfg.point(i), cfg.point(j)), atol=1e-14
+                stacked[k], diff / np.linalg.norm(diff), atol=1e-14
             )
 
 

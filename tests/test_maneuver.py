@@ -4,92 +4,77 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bmv import (
     BearingSpec,
     Configuration,
     DegenerateVector,
     DimensionMismatch,
-    FormationGraph,
     ManeuverCommand,
     bearing_laplacian,
-    centroid,
+    check_localizable,
     combined_command,
-    full_velocity_stack,
     scale,
-    scaling_command,
-    translation_command,
-    validate_command,
+    target_follower_positions,
 )
-from conftest import SQUARE_EDGES, SQUARE_POINTS
+from conftest import SQUARE_POINTS, random_formation
 
 
 SQUARE = Configuration(SQUARE_POINTS)
 
 
-def _square_laplacian():
-    graph = FormationGraph(n=4, d=2, edges=SQUARE_EDGES, n_leaders=2)
-    spec = BearingSpec.from_configuration(graph, SQUARE)
-    return bearing_laplacian(graph, spec)
-
-
 def test_centroid_and_scale_of_unit_square():
-    np.testing.assert_allclose(centroid(SQUARE), [0.5, 0.5], atol=1e-15)
     assert scale(SQUARE) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    # a pure scaling pushes each leader straight out from the centroid (0.5, 0.5)
+    cmd = combined_command([0.0, 0.0], SQUARE, 4, rate=2.0)
+    np.testing.assert_allclose(
+        cmd.leader_velocity_stack().reshape(4, 2),
+        2.0 * (SQUARE_POINTS - [0.5, 0.5]),
+        atol=1e-15,
+    )
 
 
 def test_translation_command_tiles_velocity():
-    stack = translation_command([0.3, -0.1], 3)
-    np.testing.assert_allclose(stack, [0.3, -0.1, 0.3, -0.1, 0.3, -0.1])
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    stack = combined_command([0.3, -0.1], Configuration(pts), 3, rate=0.0)
+    np.testing.assert_allclose(
+        stack.leader_velocity_stack(), [0.3, -0.1, 0.3, -0.1, 0.3, -0.1]
+    )
     with pytest.raises(ValueError):
-        translation_command([1.0, 0.0], 0)
+        combined_command([1.0, 0.0], Configuration(pts), 0, rate=0.0)
 
 
 def test_pure_translation_leaves_scale_alone():
     cmd = combined_command([0.4, 0.2], SQUARE, 2, rate=0.0)
-    np.testing.assert_allclose(cmd.expected_centroid_rate, [0.4, 0.2])
+    np.testing.assert_allclose(cmd.v_c, [0.4, 0.2])
+    assert cmd.rate == 0.0
     assert cmd.expected_scale_rate == 0.0
-    assert cmd.radial_rate() == 0.0
     np.testing.assert_allclose(
         cmd.leader_velocity_stack(), [0.4, 0.2, 0.4, 0.2], atol=1e-15
     )
 
 
 def test_scaling_command_alphas_proportional_to_radii():
+    # each leader's radial speed alpha_i is rate * |p_i - c|
     rate = 0.1
-    cmd = scaling_command(SQUARE, 2, rate)
+    cmd = combined_command([0.0, 0.0], SQUARE, 2, rate)
     radii = np.linalg.norm(SQUARE_POINTS[:2] - [0.5, 0.5], axis=1)
-    np.testing.assert_allclose(cmd.scale_alphas, rate * radii, atol=1e-15)
-    assert cmd.radial_rate() == pytest.approx(rate, rel=1e-12)
+    speeds = np.linalg.norm(cmd.leader_velocity_stack().reshape(2, 2), axis=1)
+    np.testing.assert_allclose(speeds, rate * radii, atol=1e-15)
     # ds/dt = rate * s for a pure dilation of the unit square
     assert cmd.expected_scale_rate == pytest.approx(rate * math.sqrt(0.5), rel=1e-12)
-    np.testing.assert_allclose(cmd.expected_centroid_rate, [0.0, 0.0])
 
 
 def test_full_alpha_vector_reproduces_scale_rate_formula():
-    # sgn(alpha) * sqrt(mean alpha_i^2) over all agents equals the predicted
-    # scale rate; the two routes must agree to rounding.
+    # sgn(rate) * sqrt(mean alpha_i^2) over the radial speeds of all agents
+    # equals the predicted scale rate; the two routes must agree to rounding.
     for rate in (0.13, -0.07):
-        cmd = scaling_command(SQUARE, 2, rate)
-        alphas = cmd.full_alpha_vector()
-        assert alphas.shape == (4,)
+        cmd = combined_command([0.0, 0.0], SQUARE, 2, rate)
+        alphas = rate * np.linalg.norm(SQUARE_POINTS - [0.5, 0.5], axis=1)
         rms = math.copysign(math.sqrt(np.mean(alphas**2)), rate)
         assert rms == pytest.approx(cmd.expected_scale_rate, rel=1e-12)
-
-
-def test_inconsistent_radial_speeds_rejected():
-    radii = np.linalg.norm(SQUARE_POINTS[:2] - [0.5, 0.5], axis=1)
-    alphas = 0.1 * radii
-    alphas[1] *= 1.5
-    with pytest.raises(ValueError, match="inconsistent"):
-        ManeuverCommand(v_c=np.zeros(2), scale_alphas=alphas, reference_config=SQUARE)
-    # opposite signs disagree on the common ratio too
-    with pytest.raises(ValueError, match="inconsistent"):
-        ManeuverCommand(
-            v_c=np.zeros(2),
-            scale_alphas=np.array([alphas[0], -alphas[0]]),
-            reference_config=SQUARE,
-        )
 
 
 def test_leader_at_centroid_rejected_for_scaling_only():
@@ -104,57 +89,43 @@ def test_leader_at_centroid_rejected_for_scaling_only():
 
 def test_command_validation_errors():
     with pytest.raises(DimensionMismatch):
-        ManeuverCommand(
-            v_c=np.zeros(3), scale_alphas=np.zeros(2), reference_config=SQUARE
-        )
+        ManeuverCommand(v_c=np.zeros(3), rate=0.0, reference_config=SQUARE, n_leaders=2)
+    with pytest.raises(ValueError):
+        ManeuverCommand(v_c=np.zeros(2), rate=0.0, reference_config=SQUARE, n_leaders=5)
     with pytest.raises(ValueError):
         ManeuverCommand(
-            v_c=np.zeros(2), scale_alphas=np.zeros(5), reference_config=SQUARE
+            v_c=np.array([np.inf, 0.0]), rate=0.0, reference_config=SQUARE, n_leaders=2
         )
     with pytest.raises(ValueError):
-        ManeuverCommand(
-            v_c=np.array([np.inf, 0.0]),
-            scale_alphas=np.zeros(2),
-            reference_config=SQUARE,
-        )
+        ManeuverCommand(v_c=np.zeros(2), rate=np.nan, reference_config=SQUARE, n_leaders=2)
     with pytest.raises(ValueError):
         combined_command([0.0, 0.0], SQUARE, 7, rate=0.1)
 
 
-def test_translation_induces_rigid_body_velocity():
-    lap = _square_laplacian()
-    v_c = np.array([0.25, -0.4])
-    stack = full_velocity_stack(lap, translation_command(v_c, 2))
-    np.testing.assert_allclose(stack.reshape(4, 2), np.tile(v_c, (4, 1)), atol=1e-10)
-    assert validate_command(lap, stack)
-
-
-def test_scaling_induces_radial_velocity_field():
-    lap = _square_laplacian()
-    rate = 0.3
-    cmd = scaling_command(SQUARE, 2, rate)
-    stack = full_velocity_stack(lap, cmd.leader_velocity_stack())
-    expected = rate * (SQUARE_POINTS - centroid(SQUARE))
-    np.testing.assert_allclose(stack.reshape(4, 2), expected, atol=1e-10)
-    assert validate_command(lap, stack)
-
-
-def test_combined_command_superposes():
-    lap = _square_laplacian()
-    v_c = np.array([0.1, 0.2])
-    rate = -0.15
-    cmd = combined_command(v_c, SQUARE, 2, rate)
-    stack = full_velocity_stack(lap, cmd.leader_velocity_stack())
-    expected = v_c + rate * (SQUARE_POINTS - centroid(SQUARE))
-    np.testing.assert_allclose(stack.reshape(4, 2), expected, atol=1e-10)
-    assert validate_command(lap, stack)
-    assert cmd.expected_scale_rate == pytest.approx(rate * math.sqrt(0.5), rel=1e-12)
-
-
-def test_validate_command_rejects_bearing_breaking_motion():
-    lap = _square_laplacian()
-    bad = np.zeros(8)
-    bad[4] = 1.0  # one follower drifts alone; bearings rotate
-    assert not validate_command(lap, bad)
-    with pytest.raises(DimensionMismatch):
-        validate_command(lap, np.zeros(7))
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    d=st.integers(2, 3),
+    leaders=st.integers(2, 8),
+    v_c=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    rate=st.floats(-1.0, 1.0),
+)
+@example(seed=1, n=5, d=2, leaders=2, v_c=[0.25, -0.4, 0.0], rate=0.0)  # translation
+@example(seed=1, n=5, d=2, leaders=2, v_c=[0.0, 0.0, 0.0], rate=0.3)  # scaling
+def test_combined_command_superposes(seed, n, d, leaders, v_c, rate):
+    # Leader velocities v_c + rate (p_i - c) induce the same field on every
+    # follower, and the whole field preserves every bearing (L v = 0).
+    rng = np.random.default_rng(seed)
+    graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n), edge_prob=0.8)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
+    loc = check_localizable(lap)
+    assume(loc.localizable and loc.min_eigenvalue > 1e-3)
+    v_c = np.array(v_c[:d])
+    cmd = combined_command(v_c, ref, graph.n_leaders, rate)
+    v_l = cmd.leader_velocity_stack()
+    v = np.concatenate([v_l, target_follower_positions(lap, v_l)])
+    expected = v_c + rate * (ref.points - ref.points.mean(axis=0))
+    bound = 1e-8 * (1.0 + float(np.linalg.norm(v)))
+    np.testing.assert_allclose(v.reshape(n, d), expected, rtol=0, atol=bound)
+    assert float(np.linalg.norm(lap.matrix @ v)) < bound
