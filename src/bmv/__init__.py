@@ -12,6 +12,7 @@ from .controller import (
     ClosedLoop,
     Gains,
     HurwitzReport,
+    closed_loop_spectrum,
     effective_closed_loop_matrix,
     follower_velocity,
     verify_hurwitz,
@@ -19,7 +20,6 @@ from .controller import (
 from .errors import (
     DegenerateVector,
     DimensionMismatch,
-    EigenSolveFailure,
     NotLocalizable,
     NotRigid,
     ParseError,
@@ -73,7 +73,6 @@ __all__ = [
     "Configuration",
     "DegenerateVector",
     "DimensionMismatch",
-    "EigenSolveFailure",
     "ExponentialFit",
     "FormationGraph",
     "Gains",
@@ -96,6 +95,7 @@ __all__ = [
     "bearing_laplacian",
     "bearing_rigidity_matrix",
     "check_localizable",
+    "closed_loop_spectrum",
     "combined_command",
     "desired_bearing",
     "effective_closed_loop_matrix",

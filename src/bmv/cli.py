@@ -25,20 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import (
-    Gains,
-    effective_closed_loop_matrix,
-    verify_hurwitz,
-)
-from .errors import (
-    DegenerateVector,
-    DimensionMismatch,
-    NotLocalizable,
-    NotRigid,
-    ParseError,
-    ScheduleGap,
-    WindowTooShort,
-)
+from .controller import Gains, closed_loop_spectrum
+from .errors import NotLocalizable, NotRigid, ParseError, ScheduleGap
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
 from .sim import (
@@ -58,9 +46,11 @@ logger = logging.getLogger(__name__)
 
 AXES = "xyz"
 
-# Errors from simulation assembly that mean "the scenario failed validation".
-VALIDATION_ERRORS = (NotRigid, NotLocalizable, ScheduleGap, DegenerateVector,
-                     DimensionMismatch, ValueError)
+# The exit code of each error a scenario can cause: it could not be read or
+# parsed, or it failed validation.  Input errors are tried first, since a
+# ParseError is also a ValueError.
+INPUT_ERRORS = (ParseError, OSError)
+VALIDATION_ERRORS = (NotRigid, NotLocalizable, ValueError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -216,8 +206,8 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     duration = _as_number(doc["duration"], origin, "duration")
     dt = _as_number(doc.get("dt", DEFAULT_DT), origin, "dt")
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise _fail(origin, "seed", f"expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise _fail(origin, "seed", f"expected a non-negative integer, got {seed!r}")
 
     with_initial = [entry for entry in ordered if entry[1] is not None]
     if with_initial and len(with_initial) != len(ordered):
@@ -245,7 +235,7 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         )
     except ScheduleGap:
         raise
-    except (ValueError, DimensionMismatch) as exc:
+    except ValueError as exc:
         raise _fail(origin, "scenario", str(exc)) from None
     return LoadedScenario(scenario=scenario, labels=labels)
 
@@ -264,8 +254,8 @@ def load_scenario(path) -> LoadedScenario:
     """Read and parse a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
@@ -273,6 +263,8 @@ def load_scenario(path) -> LoadedScenario:
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     return parse_scenario(doc, origin=str(path))
 
 
@@ -363,8 +355,8 @@ def write_xi_csv(
 
 def _spectrum(ctx: SimContext) -> dict:
     """Closed-loop spectrum, stability verdict and convergence horizon."""
-    report = verify_hurwitz(
-        effective_closed_loop_matrix(ctx.laplacian.L_ff, ctx.scenario.gains)
+    report = closed_loop_spectrum(
+        ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains
     )
     horizon = None
     if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
@@ -380,6 +372,7 @@ def _spectrum(ctx: SimContext) -> dict:
 def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
     scenario = ctx.scenario
     graph = scenario.graph
+    loc = ctx.laplacian.localizability
     fit = None
     last = ctx.segments[-1]
     window = (traj.times >= max(last.t_start, 0.0)) & (traj.tracking_error > 1e-13)
@@ -387,7 +380,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
         try:
             fitted = exponential_fit(traj.times[window], traj.tracking_error[window])
             fit = {"rate": fitted.rate, "r_squared": fitted.r_squared}
-        except (WindowTooShort, ValueError):
+        except ValueError:
             fit = None
 
     return {
@@ -413,8 +406,8 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "singular_values": [float(s) for s in ctx.rigidity.singular_values],
         },
         "localizability": {
-            "localizable": ctx.localizability.localizable,
-            "lambda_min_ff": _finite(ctx.localizability.min_eigenvalue),
+            "localizable": loc.localizable,
+            "lambda_min_ff": _finite(loc.min_eigenvalue),
         },
         "spectrum": _spectrum(ctx),
         "final": {
@@ -467,7 +460,8 @@ def _apply_overrides(loaded: LoadedScenario, args) -> LoadedScenario:
 
 
 def cmd_check(args) -> int:
-    _, report, _, loc = structure(load_scenario(args.scenario).scenario)
+    _, report, lap = structure(load_scenario(args.scenario).scenario)
+    loc = lap.localizability
     lam = loc.min_eigenvalue
     print(f"rank            = {report.rank}")
     print(f"required_rank   = {report.required_rank}")
@@ -516,7 +510,7 @@ def _batch_one(task) -> tuple[str, int, str]:
             EXIT_OK,
             f"bearing_error={traj.bearing_error[-1]:.3e}",
         )
-    except (ParseError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         return str(path), EXIT_INPUT, str(exc)
     except VALIDATION_ERRORS as exc:
         return str(path), EXIT_VALIDATION, str(exc)
@@ -554,11 +548,14 @@ def cmd_batch(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _integer(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _positive_float(text: str) -> float:
@@ -578,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--dt", type=_positive_float, default=None,
                        help="override the scenario step size")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_integer(0), default=None,
+                       help="override the scenario seed")
         p.add_argument("--force", action="store_true",
                        help="run even if rigidity or localizability checks fail")
 
@@ -589,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario and write a result bundle")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory (default: <scenario>_out)")
-    p_run.add_argument("--decimate", type=_positive_int, default=1,
+    p_run.add_argument("--decimate", type=_integer(1), default=1,
                        help="write every Nth sample to the CSV")
     p_run.add_argument("--dump-xi", action="store_true",
                        help="also write the integral states to xi.csv")
@@ -604,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="run several scenarios, one worker each")
     p_batch.add_argument("scenarios", nargs="+", help="scenario JSON files")
     p_batch.add_argument("--out", default="bmv_batch_out", help="output root directory")
-    p_batch.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
-    p_batch.add_argument("--decimate", type=_positive_int, default=1,
+    p_batch.add_argument("--workers", type=_integer(1), default=1, help="parallel workers")
+    p_batch.add_argument("--decimate", type=_integer(1), default=1,
                          help="write every Nth sample to the CSVs")
     add_common(p_batch)
     p_batch.set_defaults(func=cmd_batch)
@@ -623,10 +621,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VALIDATION_ERRORS as exc:

@@ -16,11 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EigenSolveFailure,
-    UnknownNeighbor,
-)
+from .errors import DimensionMismatch, UnknownNeighbor
 from .formation import BearingSpec, FormationGraph, desired_bearing, ensure_aligned
 from .laplacian import BearingLaplacian
 
@@ -173,18 +169,40 @@ def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
     return _loop_matrix(M, gains)
 
 
+def _hurwitz_report(eigs: np.ndarray) -> HurwitzReport:
+    """Sort by real then imaginary part; Hurwitz if every real part < -TAU_HURWITZ."""
+    if eigs.size == 0:
+        return HurwitzReport(True, -np.inf, np.zeros(0, dtype=complex))
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    max_real = float(eigs.real.max())
+    return HurwitzReport(max_real < -TAU_HURWITZ, max_real, eigs)
+
+
 def verify_hurwitz(A: np.ndarray) -> HurwitzReport:
     """Spectrum of A and whether every eigenvalue sits strictly left of 0."""
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return HurwitzReport(True, -np.inf, np.zeros(0, dtype=complex))
-    try:
-        eigs = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveFailure(str(exc)) from exc
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    max_real = float(eigs.real.max())
-    return HurwitzReport(max_real < -TAU_HURWITZ, max_real, eigs)
+    return _hurwitz_report(np.linalg.eigvals(M))
+
+
+def closed_loop_spectrum(mu: np.ndarray, gains: Gains) -> HurwitzReport:
+    """The spectrum of effective_closed_loop_matrix from the eigenvalues mu of L_ff.
+
+    Each mu gives -k_p mu when k_i = 0, and otherwise the two roots of
+    lambda^2 + k_p mu lambda + k_i mu = 0: the one of larger modulus from the
+    formula, the other from the product k_i mu, or the conjugate for a
+    complex pair.  Both roots are 0 when mu = 0.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if gains.k_i == 0.0:
+        return _hurwitz_report(-gains.k_p * mu + 0.0)  # + 0.0 turns -0.0 into 0.0
+    b = 0.5 * gains.k_p * mu
+    disc = b * b - gains.k_i * mu
+    root = np.sqrt(np.abs(disc))
+    big = -(b + np.copysign(root, b))
+    small = np.divide(gains.k_i * mu, big, out=np.zeros_like(big), where=big != 0.0)
+    real = disc >= 0.0
+    first = np.where(real, big, -b + 1j * root)
+    second = np.where(real, small, -b - 1j * root)
+    return _hurwitz_report(np.concatenate([first, second]) + 0.0)

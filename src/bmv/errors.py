@@ -25,10 +25,6 @@ class ScheduleGap(ValueError):
     """The leader velocity schedule does not cover the simulation horizon."""
 
 
-class EigenSolveFailure(RuntimeError):
-    """The dense eigenvalue solver failed to converge."""
-
-
 class WindowTooShort(ValueError):
     """Too few samples to fit a decay rate."""
 

@@ -29,6 +29,7 @@ SOLVE_RESIDUAL_TOL = 1e-9
 class LocalizabilityResult(NamedTuple):
     localizable: bool
     min_eigenvalue: float
+    eigenvalues: np.ndarray  # of L_ff, ascending
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,15 @@ class BearingLaplacian:
         """Positive definiteness of the follower block.
 
         With no followers the block is empty and the formation is vacuously
-        localizable; the minimum eigenvalue is reported as +inf.
+        localizable; the minimum eigenvalue is reported as +inf.  This is the
+        one eigensolve of L_ff; the closed-loop spectrum is built from it.
         """
-        if self.n_followers == 0:
-            return LocalizabilityResult(True, math.inf)
         eigs = np.linalg.eigvalsh(self.L_ff)
-        lam_min = float(eigs[0])
-        lam_max = float(eigs[-1])
-        return LocalizabilityResult(lam_min > TAU_PD * max(lam_max, 0.0), lam_min)
+        eigs.setflags(write=False)
+        if self.n_followers == 0:
+            return LocalizabilityResult(True, math.inf, eigs)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+        return LocalizabilityResult(lam_min > TAU_PD * max(lam_max, 0.0), lam_min, eigs)
 
     @cached_property
     def follower_map(self) -> np.ndarray:

@@ -54,12 +54,10 @@ def bearing_rigidity_matrix(graph: FormationGraph, config: Configuration) -> np.
     return R
 
 
-def rigidity_report(
-    graph: FormationGraph, config: Configuration, rank_tol: float = TAU_RANK
-) -> RigidityReport:
+def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityReport:
     """Numerical rank test of the rigidity matrix.
 
-    Singular values below ``rank_tol`` times the largest do not count toward
+    Singular values below TAU_RANK times the largest do not count toward
     the rank.  Rigidity requires rank d*n - d - 1.
     """
     R = bearing_rigidity_matrix(graph, config)
@@ -68,7 +66,7 @@ def rigidity_report(
     else:
         sv = np.zeros(0)
     if sv.size and sv[0] > 0.0:
-        rank = int(np.sum(sv > rank_tol * sv[0]))
+        rank = int(np.sum(sv > TAU_RANK * sv[0]))
     else:
         rank = 0
     required = graph.d * graph.n - graph.d - 1

@@ -35,13 +35,7 @@ from .formation import (
     edge_bearings,
     ensure_compatible,
 )
-from .laplacian import (
-    BearingLaplacian,
-    LocalizabilityResult,
-    bearing_laplacian,
-    check_localizable,
-    target_follower_positions,
-)
+from .laplacian import BearingLaplacian, bearing_laplacian, target_follower_positions
 from .maneuver import ManeuverCommand, combined_command, rms_radius, scale
 from .rigidity import RigidityReport, rigidity_report
 
@@ -144,7 +138,6 @@ class SimContext:
     bearing_spec: BearingSpec
     laplacian: BearingLaplacian
     rigidity: RigidityReport
-    localizability: LocalizabilityResult
     segments: tuple[ResolvedSegment, ...]
     initial_positions: np.ndarray = field(repr=False)
     loop: ClosedLoop = field(repr=False)
@@ -219,15 +212,13 @@ def _validate_schedule(scenario: Scenario) -> None:
         )
 
 
-def structure(
-    scenario: Scenario,
-) -> tuple[BearingSpec, RigidityReport, BearingLaplacian, LocalizabilityResult]:
-    """The reference formation's bearings, rigidity, Laplacian and localizability."""
+def structure(scenario: Scenario) -> tuple[BearingSpec, RigidityReport, BearingLaplacian]:
+    """The reference formation's bearings, rigidity and Laplacian."""
     graph = scenario.graph
     ref = scenario.reference_config
     spec = BearingSpec.from_configuration(graph, ref)
     lap = bearing_laplacian(graph, spec)
-    return spec, rigidity_report(graph, ref), lap, check_localizable(lap)
+    return spec, rigidity_report(graph, ref), lap
 
 
 def assemble(scenario: Scenario, force: bool = False) -> SimContext:
@@ -240,7 +231,8 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     """
     graph = scenario.graph
     ref = scenario.reference_config
-    spec, rigidity, lap, localizability = structure(scenario)
+    spec, rigidity, lap = structure(scenario)
+    localizability = lap.localizability
 
     if not rigidity.is_infinitesimally_bearing_rigid:
         message = (
@@ -327,7 +319,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         bearing_spec=spec,
         laplacian=lap,
         rigidity=rigidity,
-        localizability=localizability,
         segments=tuple(segments),
         initial_positions=initial,
         loop=ClosedLoop.from_laplacian(lap, scenario.gains, scenario.dt),
@@ -413,7 +404,7 @@ def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
         ).sum(axis=-1)
         out["centroid"][block] = pts.mean(axis=1)
         out["scale"][block] = rms_radius(pts)
-        if ctx.localizability.localizable:
+        if ctx.laplacian.localizability.localizable:
             targets = p[:, :split] @ ctx.laplacian.follower_map.T
             out["tracking_error"][block] = np.linalg.norm(p[:, split:] - targets, axis=1)
     return out

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bmv
 import bmv.cli
@@ -19,6 +21,7 @@ from bmv.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
+    VALIDATION_ERRORS,
     bundled_scenario_path,
     load_scenario,
     main,
@@ -111,6 +114,7 @@ def test_parse_orders_leaders_first():
         (lambda d: d.update(duration="long"), "duration"),
         (lambda d: d.update(seed=1.5), "seed"),
         (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d.update(seed=-1), "seed"),
         (lambda d: d.update(duration=math.inf), "duration"),
         (lambda d: d.update(duration=math.nan), "duration"),
         (lambda d: d.update(dt=math.inf), "dt"),
@@ -124,6 +128,67 @@ def test_parse_rejects_malformed_documents(mutate, fragment):
     mutate(doc)
     with pytest.raises(ParseError, match=fragment):
         parse_scenario(doc)
+
+
+def _paths(node, prefix=()):
+    """Every key path in a decoded JSON document, the root first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _raised_in_bmv(exc: BaseException) -> bool:
+    """Whether the innermost frame of the traceback is bmv's own code."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return Path(tb.tb_frame.f_code.co_filename).parent == Path(bmv.__file__).parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(list(_paths(small_doc()))[1:]),
+              st.none() | st.tuples(JSON_VALUES)),  # drop the key, or replace its value
+    max_size=4,
+))
+@example(edits=[(("seed",), (-1,))])
+def test_parse_raises_only_parse_errors(edits):
+    # A valid document with keys dropped or values replaced either parses
+    # into a scenario that assembles, or fails with a message bmv wrote: a
+    # ParseError from the parser, a validation error from bmv's own checks.
+    doc = small_doc()
+    for (*parents, last), edit in edits:
+        node = doc
+        try:
+            for key in parents:
+                node = node[key]
+            node[last]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed the path
+        if not isinstance(node, (dict, list)):
+            continue
+        if edit is None:
+            del node[last]
+        else:
+            node[last] = edit[0]
+    try:
+        loaded = parse_scenario(doc)
+    except ParseError:
+        return
+    try:
+        assemble(loaded.scenario, force=True)
+    except VALIDATION_ERRORS as exc:
+        assert _raised_in_bmv(exc), repr(exc)
 
 
 def test_parse_requires_a_leader():
@@ -165,14 +230,56 @@ def test_load_scenario_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate key 'duration'" in capsys.readouterr().err
 
 
-def test_document_roundtrip():
-    doc = small_doc()
+def _with_initial(doc):
+    for agent in doc["agents"]:
+        agent["initial"] = list(doc["reference_positions"][agent["id"]])
+    return doc
+
+
+@st.composite
+def scenario_documents(draw):
+    """Valid documents in the canonical form scenario_document writes."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 5))
+    n_leaders = draw(st.integers(1, n))
+    labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=1e-6, max_value=1e6)
+    point = st.lists(finite, min_size=d, max_size=d)
+    with_initial = draw(st.booleans())
+    agents = []
+    for k, label in enumerate(labels):
+        agents.append({"id": label, "role": "leader" if k < n_leaders else "follower"})
+        if with_initial:
+            agents[-1]["initial"] = draw(point)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    times = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=4, unique=True))
+    times.sort()
+    return {
+        "dimension": d,
+        "agents": agents,
+        "reference_positions": {label: draw(point) for label in labels},
+        "edges": [[labels[i], labels[j]] for i, j in edges],
+        "gains": {"kp": draw(positive), "ki": draw(st.just(0.0) | positive)},
+        "schedule": [
+            {"t0": t0, "t1": t1, "vc": draw(point), "scale_rate": draw(finite)}
+            for t0, t1 in zip(times, times[1:])
+        ],
+        "dt": draw(positive),
+        "duration": draw(positive),
+        "seed": draw(st.integers(min_value=0)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=scenario_documents())
+@example(doc=small_doc())
+@example(doc=_with_initial(small_doc()))
+def test_document_roundtrip(doc):
     assert scenario_document(parse_scenario(doc)) == doc
-    with_initial = small_doc()
-    for agent in with_initial["agents"]:
-        pos = with_initial["reference_positions"][agent["id"]]
-        agent["initial"] = list(pos)
-    assert scenario_document(parse_scenario(with_initial)) == with_initial
+    # and through the JSON text, whose float reprs are exact
+    assert scenario_document(parse_scenario(json.loads(json.dumps(doc)))) == doc
 
 
 def test_bundled_scenarios_parse_and_pass_checks():
@@ -286,6 +393,58 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf8", "deep"])
+def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["check", str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    code = main(["batch", str(bad), str(scenario_file), "--out", str(tmp_path / "batch"),
+                 "--workers", "2", "--decimate", "50"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_INPUT
+    assert lines[0].startswith("FAILED") and str(bad) in lines[0]
+    assert lines[1].startswith("ok") and "square.json" in lines[1]
+
+
+def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
+    # The spectrum comes from the follower block's symmetric eigensolve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--decimate", "100"]) == EXIT_OK
+    assert main(["spectrum", path]) == EXIT_OK
+    assert main(["batch", path, "--out", str(tmp_path / "batch"), "--decimate", "100"]) == EXIT_OK
+
+
+def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):
+    # One follower on one edge to the only leader may slide along it, so
+    # L_ff has an exact zero eigenvalue and the loop is not Hurwitz.
+    doc = small_doc(
+        agents=[{"id": "a", "role": "leader"}, {"id": "c", "role": "follower"}],
+        reference_positions={"a": [0.0, 0.0], "c": [1.0, 0.0]},
+        edges=[["a", "c"]],
+    )
+    path = tmp_path / "slide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path)]) == EXIT_VALIDATION
+    capsys.readouterr()
+    assert main(["spectrum", str(path), "--force"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    spectrum = json.loads(out)
+    zeros = [x for pair in spectrum["eigenvalues"] for x in pair if x == 0.0]
+    assert zeros and all(math.copysign(1.0, x) > 0.0 for x in zeros)
+    assert spectrum["max_real_part"] == 0.0
+    assert spectrum["is_hurwitz"] is False
+    assert spectrum["convergence_horizon"] is None
+    assert len(spectrum["eigenvalues"]) == 4
 
 
 def test_spectrum_command(scenario_file, capsys):
@@ -420,6 +579,14 @@ def test_bad_dt_override_is_an_input_error(scenario_file, capsys, dt):
         main(["run", str(scenario_file), "--dt", dt])
     assert exc.value.code == EXIT_INPUT
     assert "--dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+def test_negative_seed_override_is_an_input_error(scenario_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(scenario_file), "--seed", "-1"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

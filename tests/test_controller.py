@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmv import (
     BearingSpec,
@@ -14,11 +16,18 @@ from bmv import (
     Gains,
     UnknownNeighbor,
     bearing_laplacian,
+    closed_loop_spectrum,
     effective_closed_loop_matrix,
     follower_velocity,
     verify_hurwitz,
 )
+from bmv.cli import bundled_scenario_path, load_scenario
+from bmv.sim import structure
 from conftest import random_formation
+
+# The spectrum from eigvalsh(L_ff) and the quadratic must match the general
+# eigensolve of the loop matrix this well, relative to the largest |lambda|.
+SPECTRUM_REL_TOL = 1e-10
 
 
 def test_gains_validation():
@@ -225,3 +234,75 @@ def test_eigenvalues_sorted_by_real_then_imag():
     report = verify_hurwitz(A)
     reals = report.eigenvalues.real
     assert np.all(np.diff(reals) >= -1e-12)
+
+
+def _matches_reference(lap, gains: Gains):
+    """The spectrum from the Laplacian's own L_ff eigenvalues, checked against
+    verify_hurwitz on the full loop matrix; returns both reports."""
+    report = closed_loop_spectrum(lap.localizability.eigenvalues, gains)
+    ref = verify_hurwitz(effective_closed_loop_matrix(lap.L_ff, gains))
+    assert report.eigenvalues.size == ref.eigenvalues.size
+    assert report.is_hurwitz == ref.is_hurwitz
+    assert report.max_real_part == report.eigenvalues.real.max()
+    bound = SPECTRUM_REL_TOL * np.abs(ref.eigenvalues).max()
+    assert np.abs(report.eigenvalues - ref.eigenvalues).max() <= bound
+    return report, ref
+
+
+@pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
+def test_closed_loop_spectrum_matches_reference_on_bundles(name):
+    scenario = load_scenario(bundled_scenario_path(name)).scenario
+    _, _, lap = structure(scenario)
+    report, _ = _matches_reference(lap, scenario.gains)
+    assert report.is_hurwitz
+    assert not np.any(np.signbit(report.eigenvalues.imag[report.eigenvalues.imag == 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    d=st.integers(2, 3),
+    leaders=st.integers(2, 4),
+    k_p=st.floats(0.1, 10.0),
+    k_i=st.one_of(st.just(0.0), st.floats(0.05, 10.0)),
+)
+def test_closed_loop_spectrum_matches_reference(seed, n, d, leaders, k_p, k_i):
+    rng = np.random.default_rng(seed)
+    graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
+    loc = lap.localizability
+    assume(loc.localizable and loc.min_eigenvalue > 1e-3)
+    mu = loc.eigenvalues
+    # A near-double root is ill-conditioned in the general eigensolve, which
+    # splits it by up to sqrt(eps); the exact double root is tested below.
+    b = 0.5 * k_p * mu
+    assume(k_i == 0.0 or np.all(np.abs(b * b - k_i * mu) > 1e-6 * b * b))
+    _matches_reference(lap, Gains(k_p=k_p, k_i=k_i))
+
+
+def test_closed_loop_spectrum_returns_a_double_root_exactly():
+    # L_ff = diag(1, 4), kp = 2, ki = 1: mu = 1 gives (lambda + 1)^2
+    report = closed_loop_spectrum(np.array([1.0, 4.0]), Gains(k_p=2.0, k_i=1.0))
+    expected = [-4.0 - math.sqrt(12.0), -1.0, -1.0, -4.0 + math.sqrt(12.0)]
+    np.testing.assert_allclose(report.eigenvalues.real, expected, rtol=1e-15)
+    assert report.eigenvalues[1] == -1.0 and report.eigenvalues[2] == -1.0
+    assert np.all(report.eigenvalues.imag == 0.0)
+    ref = verify_hurwitz(effective_closed_loop_matrix(np.diag([1.0, 4.0]), Gains(2.0, 1.0)))
+    assert ref.eigenvalues.size == 4 and ref.is_hurwitz and report.is_hurwitz
+
+
+@pytest.mark.parametrize("k_i", [0.0, 6.0])
+def test_closed_loop_spectrum_of_a_singular_follower_block(k_i):
+    # One follower tied to one leader by a horizontal edge may slide along
+    # it: L_ff = diag(0, 1), with an exact zero eigenvalue.
+    graph = FormationGraph(n=2, d=2, edges=((0, 1),), n_leaders=1)
+    lap = bearing_laplacian(
+        graph, BearingSpec.from_configuration(graph, Configuration(np.array([[0.0, 0.0], [1.0, 0.0]])))
+    )
+    assert list(lap.localizability.eigenvalues) == [0.0, 1.0]
+    report, ref = _matches_reference(lap, Gains(k_p=4.0, k_i=k_i))
+    assert not np.any(np.isnan(report.eigenvalues))
+    assert report.max_real_part == ref.max_real_part == 0.0
+    assert not np.signbit(report.max_real_part)
+    assert not report.is_hurwitz

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "Configuration",
     "DegenerateVector",
     "DimensionMismatch",
-    "EigenSolveFailure",
     "ExponentialFit",
     "FormationGraph",
     "Gains",
@@ -32,6 +31,7 @@ PUBLIC_NAMES = [
     "bearing_laplacian",
     "bearing_rigidity_matrix",
     "check_localizable",
+    "closed_loop_spectrum",
     "combined_command",
     "desired_bearing",
     "effective_closed_loop_matrix",
