@@ -50,7 +50,6 @@ from .rigidity import (
     RigidityReport,
     bearing_rigidity_matrix,
     rigidity_report,
-    trivial_motion_basis,
 )
 from .sim import (
     ExponentialFit,
@@ -106,6 +105,5 @@ __all__ = [
     "scale",
     "step",
     "target_follower_positions",
-    "trivial_motion_basis",
     "verify_hurwitz",
 ]

@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import Gains, closed_loop_spectrum
+from .controller import (
+    Gains,
+    HurwitzReport,
+    closed_loop_spectrum,
+    largest_stable_step,
+    step_amplification,
+)
 from .errors import NotLocalizable, NotRigid, ParseError, ScheduleGap
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
@@ -52,6 +58,13 @@ AXES = "xyz"
 INPUT_ERRORS = (ParseError, OSError)
 VALIDATION_ERRORS = (NotRigid, NotLocalizable, ValueError)
 
+# Largest coordinate magnitude a scenario may give.  Squared differences of
+# such coordinates, summed over three axes, stay far below float overflow.
+COORDINATE_LIMIT = 1e150
+
+# A message echoes at most this many characters of a field path or problem.
+ECHO_LIMIT = 200
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
@@ -69,21 +82,28 @@ class LoadedScenario:
 # parsing
 
 def _fail(origin: str, field: str, problem: str) -> ParseError:
+    field, problem = (
+        text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
+        for text in (field, problem)
+    )
     return ParseError(f"{origin}: {field}: {problem}")
 
 
-def _as_number(value, origin: str, field: str) -> float:
+def _as_number(value, origin: str, field: str, limit: float = sys.float_info.max) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(origin, field, f"expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise _fail(origin, field, f"expected a finite number, got {value!r}")
+    if not abs(value) <= limit:
+        raise _fail(origin, field, f"expected a finite number up to {limit:g} in magnitude, "
+                                   f"got {value!r}")
     return float(value)
 
 
-def _as_vector(value, d: int, origin: str, field: str) -> list[float]:
+def _as_vector(
+    value, d: int, origin: str, field: str, limit: float = sys.float_info.max
+) -> list[float]:
     if not isinstance(value, list) or len(value) != d:
         raise _fail(origin, field, f"expected a list of {d} numbers, got {value!r}")
-    return [_as_number(x, origin, f"{field}[{k}]") for k, x in enumerate(value)]
+    return [_as_number(x, origin, f"{field}[{k}]", limit) for k, x in enumerate(value)]
 
 
 def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
@@ -128,7 +148,7 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
             raise _fail(origin, f"{where}.role", f"expected 'leader' or 'follower', got {role!r}")
         initial = entry.get("initial")
         if initial is not None:
-            initial = _as_vector(initial, d, origin, f"{where}.initial")
+            initial = _as_vector(initial, d, origin, f"{where}.initial", COORDINATE_LIMIT)
         extra = set(entry) - {"id", "role", "initial"}
         if extra:
             raise _fail(origin, f"{where}.{extra.pop()}", "unknown field")
@@ -150,7 +170,8 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         if agent_id not in refs:
             raise _fail(origin, f"reference_positions.{agent_id}", "missing")
         reference_rows.append(
-            _as_vector(refs[agent_id], d, origin, f"reference_positions.{agent_id}")
+            _as_vector(refs[agent_id], d, origin, f"reference_positions.{agent_id}",
+                       COORDINATE_LIMIT)
         )
 
     raw_edges = doc.get("edges")
@@ -353,11 +374,18 @@ def write_xi_csv(
     _write_csv(path, header, [traj.times, traj.xi], decimate)
 
 
+def _report(ctx: SimContext) -> HurwitzReport:
+    return closed_loop_spectrum(ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains)
+
+
+def _amplification(ctx: SimContext) -> float:
+    """RK4's largest factor per step of dt on a decaying mode; above 1 the run diverges."""
+    return step_amplification(_report(ctx).eigenvalues, ctx.scenario.dt)
+
+
 def _spectrum(ctx: SimContext) -> dict:
     """Closed-loop spectrum, stability verdict and convergence horizon."""
-    report = closed_loop_spectrum(
-        ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains
-    )
+    report = _report(ctx)
     horizon = None
     if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
         horizon = 12.0 / abs(report.max_real_part)
@@ -397,6 +425,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "duration": scenario.duration,
             "seed": scenario.seed,
             "samples": int(traj.times.size),
+            "max_step_amplification": _amplification(ctx),
         },
         "rigidity": {
             "rank": ctx.rigidity.rank,
@@ -475,15 +504,30 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_run(args) -> int:
-    loaded = _apply_overrides(load_scenario(args.scenario), args)
+def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
+    """Load, check and integrate one scenario, and write its bundle.
+
+    Raises ValueError before integrating when RK4 at the scenario's dt
+    would amplify a decaying mode.
+    """
+    loaded = _apply_overrides(load_scenario(path), args)
     ctx = assemble(loaded.scenario, force=args.force)
+    amplification = _amplification(ctx)
+    if amplification > 1.0:
+        dt = ctx.scenario.dt
+        limit = largest_stable_step(_report(ctx).eigenvalues, dt)
+        raise ValueError(
+            f"dt = {dt:g} is unstable: one RK4 step multiplies a decaying mode by "
+            f"up to {amplification:.4g}; the largest stable dt is about {limit:.4g}"
+        )
     traj = run(ctx)
+    write_bundle(outdir, ctx, traj, loaded.labels, decimate=args.decimate, dump_xi=dump_xi)
+    return traj
+
+
+def cmd_run(args) -> int:
     outdir = Path(args.out) if args.out else Path(Path(args.scenario).stem + "_out")
-    write_bundle(
-        outdir, ctx, traj, loaded.labels,
-        decimate=args.decimate, dump_xi=args.dump_xi,
-    )
+    traj = _run_bundle(args.scenario, outdir, args, dump_xi=args.dump_xi)
     print(f"bearing_error  = {traj.bearing_error[-1]:.6e}")
     print(f"tracking_error = {traj.tracking_error[-1]:.6e}")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'summary.json'}")
@@ -493,7 +537,8 @@ def cmd_run(args) -> int:
 def cmd_spectrum(args) -> int:
     loaded = _apply_overrides(load_scenario(args.scenario), args)
     ctx = assemble(loaded.scenario, force=args.force)
-    print(json.dumps(_spectrum(ctx), indent=2, sort_keys=True))
+    doc = {**_spectrum(ctx), "max_step_amplification": _amplification(ctx)}
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -501,10 +546,7 @@ def _batch_one(task) -> tuple[str, int, str]:
     """Run one scenario in a worker; returns (name, exit code, message)."""
     path, outdir, args = task
     try:
-        loaded = _apply_overrides(load_scenario(path), args)
-        ctx = assemble(loaded.scenario, force=args.force)
-        traj = run(ctx)
-        write_bundle(Path(outdir), ctx, traj, loaded.labels, decimate=args.decimate)
+        traj = _run_bundle(path, Path(outdir), args)
         return (
             str(path),
             EXIT_OK,

@@ -88,70 +88,104 @@ def follower_velocity(
     return -gains.k_p * drive - gains.k_i * xi, drive
 
 
-def _loop_matrix(drive: np.ndarray, gains: Gains) -> np.ndarray:
-    """State matrix on [p, xi] of the PI law, followers last in p.
+# Equal steps a ClosedLoop tabulates, and so writes in one pass.
+BLOCK_STEPS = 128
 
-    ``drive`` is the followers' rows of the Laplacian; other rows of p are zero.
-    """
-    k, c = drive.shape
-    A = np.zeros((c + k, c + k))
-    A[c - k : c, :c] = -gains.k_p * drive
-    A[c - k : c, c:] = -gains.k_i * np.eye(k)
-    A[c:, :c] = drive
-    return A
+# Trajectory floats changed to or from modal coordinates at a time.
+CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """The closed loop as one linear system, z' = A z + B v.
+    """The PI closed loop on z = [p, xi] (leaders first), stepped mode by mode.
 
-    z = [p, xi] stacks all positions (leaders first) and the integral states;
-    v stacks the leader velocities, so B = [I; 0] feeds the first
-    ``n_inputs`` coordinates.  With v constant, one classical RK4 step of
-    length h is exactly z <- Phi(h) z + Gamma(h) v, Phi(h) = sum_{k<=4} (hA)^k/k!.
+    The leaders move at the constant stacked velocity v.  Along the
+    eigenvectors U of L_ff = U diag(mu) U^T the followers split into one
+    system per mode on [q, eta, f, g]: q = U^T p_f, eta = U^T xi and the
+    affine leader forcing f = W p_l, f' = g = W v, with W = U^T L_fl.  One
+    classical RK4 step of length h is then one 4x4 matrix K(h) per mode.
+    U is computed on the first step; commands that do not step skip it.
     """
 
-    A: np.ndarray = field(repr=False)
-    n_inputs: int
+    lap: BearingLaplacian = field(repr=False)
+    gains: Gains
     dt: float
 
-    @classmethod
-    def from_laplacian(cls, lap: BearingLaplacian, gains: Gains, dt: float) -> "ClosedLoop":
-        split = lap.d * lap.n_leaders
-        return cls(_loop_matrix(lap.matrix[split:], gains), split, dt)
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, U, W): the eigenpairs of L_ff and W = U^T L_fl."""
+        mu, U = np.linalg.eigh(self.lap.L_ff)
+        return mu, U, U.T @ self.lap.L_fl
 
-    def _rk4_sum(self, h: float, x: np.ndarray) -> np.ndarray:
-        """h (I + hA/2 + (hA)^2/6 + (hA)^3/24) x by Horner's rule, in place."""
-        acc = x.copy()
-        tmp = np.empty_like(acc)
-        for k in (4.0, 3.0, 2.0):
-            np.matmul(self.A, acc, out=tmp)
-            tmp *= h / k
-            tmp += x
-            acc, tmp = tmp, acc
-        acc *= h
-        return acc
+    @property
+    def _columns(self) -> tuple[slice, slice]:
+        """Where p_f and xi sit in z."""
+        nd = self.lap.matrix.shape[0]
+        return slice(self.lap.d * self.lap.n_leaders, nd), slice(nd, None)
+
+    def _powers(self, h: float, count: int) -> np.ndarray:
+        """Rows q and eta of K(h)^i for i = 1..count, shaped (2, 4, count, modes)."""
+        mu = self._modes[0]
+        k_p, k_i = self.gains.k_p, self.gains.k_i
+        one, zero = np.ones_like(mu), np.zeros_like(mu)
+        A = [[-k_p * mu, -k_i * one, -k_p * one, zero], [mu, zero, one, zero],
+             [zero, zero, zero, one], [zero, zero, zero, zero]]
+        hA = h * np.moveaxis(np.array(A), -1, 0)  # (modes, 4, 4) on [q, eta, f, g]
+        K = np.eye(4)
+        for k in (4.0, 3.0, 2.0, 1.0):
+            K = np.eye(4) + hA @ K / k
+        table = np.empty((2, 4, count, mu.size))
+        rows = K[:, :2]
+        for i in range(count):
+            table[:, :, i] = rows.transpose(1, 2, 0)
+            rows = rows @ K
+        return table
 
     @cached_property
-    def propagator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi(dt), Gamma(dt)), built on first use and kept."""
-        S = self._rk4_sum(self.dt, np.eye(self.A.shape[0]))
-        phi = self.A @ S
-        phi[np.diag_indices_from(phi)] += 1.0
-        return phi, S[:, : self.n_inputs].copy()
+    def _dt_powers(self) -> np.ndarray:
+        return self._powers(self.dt, BLOCK_STEPS)
 
     def rate(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The state's rate of change, A z + B v."""
-        dz = self.A @ z
-        dz[: self.n_inputs] += v
-        return dz
+        """The state's rate of change: leaders move at v, followers run the PI law."""
+        nd = self.lap.matrix.shape[0]
+        drive = self.lap.matrix[v.size :] @ z[:nd]
+        return np.concatenate([v, -self.gains.k_p * drive - self.gains.k_i * z[nd:], drive])
+
+    def change_basis(self, states: np.ndarray, modal: bool) -> None:
+        """Turn rows [p_l, p_f, xi] into [p_l, q, eta] in place, or back."""
+        U = self._modes[1]
+        U = U if modal else U.T
+        rows = max(1, CHUNK_ELEMENTS // max(U.shape[0], 1))
+        for start in range(0, len(states), rows):
+            block = states[start : start + rows]
+            for cols in self._columns:
+                block[:, cols] = block[:, cols] @ U
+
+    def fill(self, block: np.ndarray, v: np.ndarray, h: float) -> None:
+        """Write RK4 steps of length h into block[1:], at most BLOCK_STEPS of
+        them, from the state in block[0]; rows are [p_l, q, eta]."""
+        mu, _, W = self._modes
+        count = len(block) - 1
+        table = self._dt_powers if h == self.dt else self._powers(h, count)
+        leaders = block[:, : v.size]
+        start = tuple(block[0, cols] for cols in self._columns) + (W @ leaders[0], W @ v)
+        # RK4 moves the leaders by exactly h v per step; sum those in order
+        leaders[1:] = h * v
+        np.cumsum(leaders, axis=0, out=leaders)
+        tmp = np.empty((count, mu.size))
+        for r, cols in enumerate(self._columns):
+            out = block[1:, cols]
+            np.multiply(table[r, 0, :count], start[0], out=out)
+            for c in (1, 2, 3):
+                out += np.multiply(table[r, c, :count], start[c], out=tmp)
 
     def advance(self, z: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-        """One RK4 step of length h; other lengths than dt skip the kept pair."""
-        if h == self.dt:
-            phi, gamma = self.propagator
-            return phi @ z + gamma @ v
-        return z + self._rk4_sum(h, self.rate(z, v))
+        """One RK4 step of length h from the state z."""
+        block = np.stack([z, z])
+        self.change_basis(block[:1], modal=True)
+        self.fill(block, v, h)
+        self.change_basis(block[1:], modal=False)
+        return block[1]
 
 
 def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
@@ -166,7 +200,12 @@ def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
         raise DimensionMismatch(f"L_ff must be square, got shape {M.shape}")
     if gains.k_i == 0.0:
         return -gains.k_p * M
-    return _loop_matrix(M, gains)
+    k = M.shape[0]
+    A = np.zeros((2 * k, 2 * k))
+    A[:k, :k] = -gains.k_p * M
+    A[:k, k:] = -gains.k_i * np.eye(k)
+    A[k:, :k] = M
+    return A
 
 
 def _hurwitz_report(eigs: np.ndarray) -> HurwitzReport:
@@ -206,3 +245,35 @@ def closed_loop_spectrum(mu: np.ndarray, gains: Gains) -> HurwitzReport:
     first = np.where(real, big, -b + 1j * root)
     second = np.where(real, small, -b - 1j * root)
     return _hurwitz_report(np.concatenate([first, second]) + 0.0)
+
+
+def step_amplification(eigenvalues: np.ndarray, h: float) -> float:
+    """The largest |R(h lambda)| over the decaying modes (Re lambda < -TAU_HURWITZ).
+
+    R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 is the factor by which one
+    classical RK4 step of length h multiplies the mode lambda, so above 1 a
+    run diverges.  It is below 1 for small steps, but rounds to exactly 1
+    once |h lambda| is below the float resolution.  Without a decaying mode
+    the value is 0.
+    """
+    x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < -TAU_HURWITZ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
+    r[np.isnan(r)] = np.inf
+    return float(r.max(initial=0.0))
+
+
+def largest_stable_step(eigenvalues: np.ndarray, h: float) -> float:
+    """A step up to h at which step_amplification is at most 1: h halved
+    until it is, then bisected against the last step that was not."""
+    lo = h
+    while step_amplification(eigenvalues, lo) > 1.0:
+        lo /= 2.0
+    hi = min(2.0 * lo, h)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if step_amplification(eigenvalues, mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -223,6 +223,14 @@ def bearing_function(graph: FormationGraph, config: Configuration) -> np.ndarray
     return edge_bearings(graph, config.points).reshape(-1)
 
 
+def sum_squares(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=-1) bit for bit, faster on a 2- or 3-long last axis."""
+    total = x[..., 0] * x[..., 0]
+    for a in range(1, x.shape[-1]):
+        total += x[..., a] * x[..., a]
+    return total
+
+
 def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     """Bearings (..., m, d) of every edge for positions shaped (..., n, d).
 
@@ -230,7 +238,7 @@ def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     """
     ends = graph.edge_array
     diffs = points[..., ends[:, 1], :] - points[..., ends[:, 0], :]
-    norms = np.linalg.norm(diffs, axis=-1)
+    norms = np.sqrt(sum_squares(diffs))
     short = np.argwhere(norms <= EPS_DEGENERATE)
     if short.size:
         k = int(short[0, -1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVector, DimensionMismatch
-from .formation import Configuration
+from .formation import Configuration, sum_squares
 
 
 def scale(config: Configuration) -> float:
@@ -27,7 +27,7 @@ def scale(config: Configuration) -> float:
 def rms_radius(points: np.ndarray) -> np.ndarray:
     """``scale`` of positions shaped (..., n, d), one value per formation."""
     offsets = points - points.mean(axis=-2, keepdims=True)
-    return np.sqrt(np.mean(np.sum(offsets * offsets, axis=-1), axis=-1))
+    return np.sqrt(np.mean(sum_squares(offsets), axis=-1))
 
 
 @dataclass(frozen=True)

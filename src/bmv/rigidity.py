@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector
 from .formation import Configuration, FormationGraph, edge_bearings, ensure_compatible
 
 # Relative singular-value cutoff for the numerical rank.
@@ -78,21 +77,3 @@ def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityRep
         singular_values=sv,
     )
 
-
-def trivial_motion_basis(config: Configuration) -> np.ndarray:
-    """Orthonormal-free basis of the always-present null directions.
-
-    Rows 0..d-1 are the normalized coordinate translations; the last row is
-    the normalized scaling direction p - 1_n (x) centroid.  Shape (d+1, d*n).
-    """
-    n, d = config.n, config.d
-    basis = np.zeros((d + 1, d * n))
-    for axis in range(d):
-        basis[axis, axis::d] = 1.0 / np.sqrt(n)
-    offsets = config.points - config.points.mean(axis=0)
-    radial = offsets.reshape(-1)
-    norm = np.linalg.norm(radial)
-    if norm <= 1e-12:
-        raise DegenerateVector("all agents sit at the centroid")
-    basis[d] = radial / norm
-    return basis

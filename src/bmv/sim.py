@@ -7,9 +7,10 @@ schedule is resolved segment by segment against the target formation it will
 steer, and the initial state is fixed.  The run itself is a classical
 fixed-step fourth-order Runge-Kutta loop that never steps across a segment
 boundary.  Within a segment the closed loop is one linear system with
-constant input, so each step applies that system's exact RK4 propagator;
-leader paths are integrated exactly and two runs of the same scenario agree
-bit for bit.  The metrics are one pass over the stored positions afterwards.
+constant input, stepped mode by mode along the eigenvectors of the follower
+block, a block of equal steps at a time (see controller.ClosedLoop); leader
+paths are integrated exactly and two runs of the same scenario agree bit for
+bit.  The metrics are one pass over the stored positions afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ClosedLoop, Gains
+from .controller import BLOCK_STEPS, ClosedLoop, Gains
 from .errors import (
     DimensionMismatch,
     NotLocalizable,
@@ -34,6 +35,7 @@ from .formation import (
     FormationGraph,
     edge_bearings,
     ensure_compatible,
+    sum_squares,
 )
 from .laplacian import BearingLaplacian, bearing_laplacian, target_follower_positions
 from .maneuver import ManeuverCommand, combined_command, rms_radius, scale
@@ -188,10 +190,6 @@ class ExponentialFit:
     intercept: float
     r_squared: float
 
-    @property
-    def reliable(self) -> bool:
-        return self.r_squared >= 0.9
-
 
 def _validate_schedule(scenario: Scenario) -> None:
     segments = scenario.schedule
@@ -321,7 +319,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         rigidity=rigidity,
         segments=tuple(segments),
         initial_positions=initial,
-        loop=ClosedLoop.from_laplacian(lap, scenario.gains, scenario.dt),
+        loop=ClosedLoop(lap, scenario.gains, scenario.dt),
     )
 
 
@@ -362,16 +360,23 @@ def _spans(ctx: SimContext):
 
 
 def _steps(ctx: SimContext):
-    """Yield (segment, step size, time after the step) for every step of a run."""
+    """Yield (segment, step size, times after each step) for every run of at
+    most BLOCK_STEPS equal steps in one segment."""
     dt = ctx.scenario.dt
     for seg, t0, t1 in _spans(ctx):
-        t = t0
+        t, h, times = t0, dt, []
         while t < t1 - TIME_TOL:
-            h = min(dt, t1 - t)
+            size = min(dt, t1 - t)
+            if times and (size != h or len(times) == BLOCK_STEPS):
+                yield seg, h, times
+                times = []
+            h = size
             t = t + h
             if t1 - t < TIME_TOL * max(1.0, dt):
                 t = t1
-            yield seg, h, t
+            times.append(t)
+        if times:
+            yield seg, h, times
 
 
 def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
@@ -399,8 +404,8 @@ def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
             raise ValueError("positions contain non-finite entries")
         pts = p.reshape(-1, n, d)
         bearings = edge_bearings(graph, pts)
-        out["bearing_error"][block] = np.linalg.norm(
-            bearings - ctx.bearing_spec.vectors, axis=-1
+        out["bearing_error"][block] = np.sqrt(
+            sum_squares(bearings - ctx.bearing_spec.vectors)
         ).sum(axis=-1)
         out["centroid"][block] = pts.mean(axis=1)
         out["scale"][block] = rms_radius(pts)
@@ -422,7 +427,7 @@ def run(ctx: SimContext) -> Trajectory:
     """
     graph = ctx.graph
     nd = graph.n * graph.d
-    width = ctx.loop.A.shape[0]
+    width = nd + graph.d * graph.n_followers
     spans = [(t1 - t0) / ctx.scenario.dt for _, t0, t1 in _spans(ctx)]
     # Each segment takes at most ceil(span / dt) steps, plus one for rounding.
     rows = sum(spans) + 2 * len(spans) + 1
@@ -434,11 +439,15 @@ def run(ctx: SimContext) -> Trajectory:
     states = np.zeros((int(rows), width))
     times = np.zeros(int(rows))
     states[0, :nd] = ctx.initial_positions
+    ctx.loop.change_basis(states[:1], modal=True)
     k = 0
-    for k, (seg, h, t) in enumerate(_steps(ctx), start=1):
-        states[k] = ctx.loop.advance(states[k - 1], seg.leader_velocity, h)
-        times[k] = t
+    for seg, h, stamps in _steps(ctx):
+        ctx.loop.fill(states[k : k + 1 + len(stamps)], seg.leader_velocity, h)
+        times[k + 1 : k + 1 + len(stamps)] = stamps
+        k += len(stamps)
     states = states[: k + 1]
+    ctx.loop.change_basis(states, modal=False)
+    states[0, :nd] = ctx.initial_positions  # exactly, not through U U^T
     return Trajectory(
         d=graph.d, n=graph.n, n_leaders=graph.n_leaders,
         times=times[: k + 1],

@@ -18,6 +18,8 @@ import bmv
 import bmv.cli
 from bmv import ParseError, assemble, run
 from bmv.cli import (
+    COORDINATE_LIMIT,
+    ECHO_LIMIT,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -121,6 +123,10 @@ def test_parse_orders_leaders_first():
         (lambda d: d.update(dt=math.nan), "dt"),
         (lambda d: d["schedule"][0].update(t1=math.inf), "t1"),
         (lambda d: d["schedule"][0].update(t1=math.nan), "t1"),
+        # "." stands for the brackets of the field path
+        (lambda d: d["reference_positions"].update(a=[1.7e308, 0.0]), "positions.a.0.: expected a finite"),
+        (lambda d: d["reference_positions"].update(b=[0.0, -1e151]), "positions.b.1.: expected a finite"),
+        (lambda d: _with_initial(d)["agents"][2].update(initial=[2e150, 1.0]), "agents.2..initial.0.: expected a finite"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, fragment):
@@ -191,6 +197,16 @@ def test_parse_raises_only_parse_errors(edits):
         assert _raised_in_bmv(exc), repr(exc)
 
 
+def test_parse_error_echoes_a_capped_value(tmp_path, capsys):
+    # a value nested 950 deep is cut, not echoed in full
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(small_doc()).replace('"dimension": 2', '"dimension": ' + "[" * 950 + "]" * 950))
+    assert main(["check", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dimension: expected an integer" in err
+    assert len(err) < len(f"error: {path}: dimension: ") + ECHO_LIMIT + 2
+
+
 def test_parse_requires_a_leader():
     doc = small_doc()
     for agent in doc["agents"]:
@@ -245,7 +261,7 @@ def scenario_documents(draw):
     labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     positive = st.floats(min_value=1e-6, max_value=1e6)
-    point = st.lists(finite, min_size=d, max_size=d)
+    point = st.lists(st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT), min_size=d, max_size=d)
     with_initial = draw(st.booleans())
     agents = []
     for k, label in enumerate(labels):
@@ -445,6 +461,9 @@ def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):
     assert spectrum["is_hurwitz"] is False
     assert spectrum["convergence_horizon"] is None
     assert len(spectrum["eigenvalues"]) == 4
+    # the zero mode neither decays nor grows (R = 1), so the run goes ahead
+    assert 0.0 < spectrum["max_step_amplification"] < 1.0
+    assert main(["run", str(path), "--force", "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_spectrum_command(scenario_file, capsys):
@@ -552,6 +571,36 @@ def test_run_refuses_unbounded_step_count(scenario_file, tmp_path, capsys):
     assert peak < 16 * 2**20
     assert "about 1e+09 steps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", ["0.2", "1e+300"])
+def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, dt):
+    # dt * max|lambda| is 7.4 at dt = 0.2 and 2.6 at dt = 0.07, and RK4 is
+    # stable on the negative real axis up to 2.785
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    src = Path(bmv.__file__).resolve().parents[1]
+    failed = subprocess.run(
+        [sys.executable, "-m", "bmv.cli", "run", path, "--dt", dt, "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert failed.returncode == EXIT_VALIDATION
+    assert failed.stderr.count("\n") == 1 and failed.stderr.startswith(f"error: dt = {dt} ")
+    assert "largest stable dt is about 0.0753" in failed.stderr
+    assert not (tmp_path / "o").exists()
+    code = main(["batch", path, "--dt", "0.2", "--out", str(tmp_path / "b")])
+    assert code == EXIT_VALIDATION and not (tmp_path / "b").exists()
+    out = tmp_path / "ok"
+    assert main(["run", path, "--dt", "0.07", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 < summary["integration"]["max_step_amplification"] < 1.0
+    assert summary["final"]["tracking_error"] < 1e-6
+
+
+@pytest.mark.parametrize("dt, stable", [("0.2", False), ("0.07", True)])
+def test_spectrum_reports_the_step_amplification(dt, stable, capsys):
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    assert main(["spectrum", path, "--dt", dt]) == EXIT_OK
+    assert (json.loads(capsys.readouterr().out)["max_step_amplification"] < 1.0) == stable
 
 
 def test_batch_deduplicates_output_names(tmp_path):

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from bmv import (
     BearingSpec,
@@ -14,14 +15,19 @@ from bmv import (
     DimensionMismatch,
     FormationGraph,
     Gains,
+    Scenario,
+    Segment,
     UnknownNeighbor,
+    assemble,
     bearing_laplacian,
     closed_loop_spectrum,
     effective_closed_loop_matrix,
     follower_velocity,
+    step,
     verify_hurwitz,
 )
 from bmv.cli import bundled_scenario_path, load_scenario
+from bmv.controller import largest_stable_step, step_amplification
 from bmv.sim import structure
 from conftest import random_formation
 
@@ -55,7 +61,7 @@ def test_local_law_matches_stacked_form():
         xi = rng.normal(size=4 * 2)
         v_l = rng.normal(size=2 * 2)
 
-        loop = ClosedLoop.from_laplacian(lap, gains, dt=0.01)
+        loop = ClosedLoop(lap, gains, dt=0.01)
         dz = loop.rate(np.concatenate([current.stacked, xi]), v_l)
         dp, dxi = dz[:12], dz[12:]
 
@@ -75,7 +81,7 @@ def test_local_law_matches_stacked_form():
 def test_stacked_dynamics_at_equilibrium(square_graph, square_config):
     spec = BearingSpec.from_configuration(square_graph, square_config)
     lap = bearing_laplacian(square_graph, spec)
-    loop = ClosedLoop.from_laplacian(lap, Gains(k_p=2.0, k_i=1.0), dt=0.01)
+    loop = ClosedLoop(lap, Gains(k_p=2.0, k_i=1.0), dt=0.01)
     dz = loop.rate(np.concatenate([square_config.stacked, np.zeros(4)]), np.zeros(4))
     np.testing.assert_allclose(dz, np.zeros(12), atol=1e-13)
 
@@ -113,19 +119,26 @@ def test_closed_loop_matrix_blocks():
     np.testing.assert_allclose(A[2:, 2:], np.zeros((2, 2)))
 
 
+def _state_matrices(loop, width, n_inputs):
+    """(A, B) of z' = A z + B v, read column by column off ClosedLoop.rate."""
+    A = np.column_stack([loop.rate(e, np.zeros(n_inputs)) for e in np.eye(width)])
+    B = np.column_stack([loop.rate(np.zeros(width), e) for e in np.eye(n_inputs)])
+    return A, B
+
+
 def test_closed_loop_state_matrix_blocks(square_graph, square_config):
     # z = [p_l, p_f, xi]: leaders integrate the input, followers run the law
     spec = BearingSpec.from_configuration(square_graph, square_config)
     lap = bearing_laplacian(square_graph, spec)
-    loop = ClosedLoop.from_laplacian(lap, Gains(k_p=1.5, k_i=0.25), dt=0.01)
-    A = loop.A
-    assert loop.n_inputs == 4
+    loop = ClosedLoop(lap, Gains(k_p=1.5, k_i=0.25), dt=0.01)
+    A, B = _state_matrices(loop, 12, 4)
     np.testing.assert_array_equal(A[:4], np.zeros((4, 12)))
     np.testing.assert_allclose(A[4:8, :4], -1.5 * lap.L_fl)
     np.testing.assert_allclose(A[8:, :4], lap.L_fl)
     np.testing.assert_array_equal(
         A[4:, 4:], effective_closed_loop_matrix(lap.L_ff, Gains(1.5, 0.25))
     )
+    np.testing.assert_array_equal(B, np.eye(12, 4))
 
 
 def _rk4_stages(lap, gains, p, xi, v, h):
@@ -154,25 +167,56 @@ def test_propagator_is_one_rk4_step():
     graph, ref = random_formation(rng, 6, 3, n_leaders=2, edge_prob=0.8)
     lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
     gains = Gains(k_p=2.5, k_i=1.5)
-    loop = ClosedLoop.from_laplacian(lap, gains, dt=0.05)
+    loop = ClosedLoop(lap, gains, dt=0.05)
     p = ref.stacked + rng.normal(scale=0.1, size=18)
     xi = rng.normal(size=12)
     v = rng.normal(size=6)
-    # the kept pair for dt, and the vector form for any other step
+    # the tabulated step for dt, and one built for any other length
     for h in (0.05, 0.0173):
         z = loop.advance(np.concatenate([p, xi]), v, h)
         p_ref, xi_ref = _rk4_stages(lap, gains, p, xi, v, h)
         np.testing.assert_allclose(z[:18], p_ref, atol=1e-13)
         np.testing.assert_allclose(z[18:], xi_ref, atol=1e-13)
-    # Phi is the degree-4 Taylor polynomial of exp(hA)
+    # the step is z <- Phi z + Gamma v, Phi the degree-4 Taylor polynomial of exp(hA)
     h = 0.05
-    phi, gamma = loop.propagator
-    hA = h * loop.A
+    phi = np.column_stack([loop.advance(e, np.zeros(6), h) for e in np.eye(30)])
+    gamma = np.column_stack([loop.advance(np.zeros(30), e, h) for e in np.eye(6)])
+    hA = h * _state_matrices(loop, 30, 6)[0]
     taylor = sum(
         np.linalg.matrix_power(hA, k) / math.factorial(k) for k in range(5)
     )
     np.testing.assert_allclose(phi, taylor, atol=1e-14)
     np.testing.assert_allclose(gamma[:6], h * np.eye(6), atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    d=st.integers(2, 3),
+    leaders=st.integers(1, 4),
+    k_p=st.floats(0.1, 10.0),
+    k_i=st.one_of(st.just(0.0), st.floats(0.05, 10.0)),
+    h=st.floats(1e-4, 0.05),
+)
+def test_modal_step_is_one_rk4_step(seed, n, d, leaders, k_p, k_i, h):
+    # any formation, localizable or forced, and any step length
+    rng = np.random.default_rng(seed)
+    graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
+    gains = Gains(k_p=k_p, k_i=k_i)
+    scenario = Scenario(
+        graph=graph, reference_config=ref, schedule=(Segment(0.0, 1.0, rng.normal(size=d)),),
+        duration=1.0, gains=gains, dt=0.01, seed=seed,
+    )
+    ctx = assemble(scenario, force=True)
+    p = ctx.initial_positions
+    xi = rng.normal(size=d * graph.n_followers)
+    v = ctx.segments[0].leader_velocity
+    p_ref, xi_ref = _rk4_stages(ctx.laplacian, gains, p, xi, v, h)
+    z = ctx.loop.advance(np.concatenate([p, xi]), v, h)
+    p_step, xi_step = step(ctx, (p, xi), 0.0, h)
+    for got in (z, np.concatenate([p_step, xi_step])):
+        np.testing.assert_allclose(got, np.concatenate([p_ref, xi_ref]), rtol=0, atol=1e-12)
 
 
 def test_effective_matrix_drops_integrator_when_ki_zero():
@@ -245,7 +289,10 @@ def _matches_reference(lap, gains: Gains):
     assert report.is_hurwitz == ref.is_hurwitz
     assert report.max_real_part == report.eigenvalues.real.max()
     bound = SPECTRUM_REL_TOL * np.abs(ref.eigenvalues).max()
-    assert np.abs(report.eigenvalues - ref.eigenvalues).max() <= bound
+    # Paired by assignment, not by sort order: the reference splits the
+    # equal real parts of a repeated mu by rounding, which reorders them.
+    gap = np.abs(report.eigenvalues[:, None] - ref.eigenvalues[None, :])
+    assert gap[linear_sum_assignment(gap)].max() <= bound
     return report, ref
 
 
@@ -267,6 +314,7 @@ def test_closed_loop_spectrum_matches_reference_on_bundles(name):
     k_p=st.floats(0.1, 10.0),
     k_i=st.one_of(st.just(0.0), st.floats(0.05, 10.0)),
 )
+@example(seed=197, n=4, d=3, leaders=2, k_p=1.0, k_i=1.0)  # repeated mu = 2
 def test_closed_loop_spectrum_matches_reference(seed, n, d, leaders, k_p, k_i):
     rng = np.random.default_rng(seed)
     graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
@@ -306,3 +354,41 @@ def test_closed_loop_spectrum_of_a_singular_follower_block(k_i):
     assert report.max_real_part == ref.max_real_part == 0.0
     assert not np.signbit(report.max_real_part)
     assert not report.is_hurwitz
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    d=st.integers(2, 3),
+    leaders=st.integers(2, 4),
+    k_p=st.floats(0.1, 10.0),
+    k_i=st.one_of(st.just(0.0), st.floats(0.05, 10.0)),
+    h=st.floats(1e-3, 1.0),
+)
+def test_step_amplification_is_the_spectral_radius_of_the_mode_steps(
+    seed, n, d, leaders, k_p, k_i, h
+):
+    # One RK4 step multiplies the modal pair (q, eta) of each mu by the
+    # degree-4 Taylor polynomial M of exp(h B), B = [[-k_p mu, -k_i], [mu, 0]].
+    # With k_i = 0, eta only integrates and q alone carries the mode -k_p mu.
+    rng = np.random.default_rng(seed)
+    graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
+    loc = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref)).localizability
+    assume(loc.localizable and loc.min_eigenvalue > 1e-3)
+    mu = loc.eigenvalues
+    # as above: the reference eigensolve splits a near-double root by sqrt(eps)
+    b = 0.5 * k_p * mu
+    assume(k_i == 0.0 or np.all(np.abs(b * b - k_i * mu) > 1e-6 * b * b))
+    radii = []
+    for m in mu:
+        B = np.array([[-k_p * m, -k_i], [m, 0.0]])
+        M = sum(np.linalg.matrix_power(h * B, k) / math.factorial(k) for k in range(5))
+        radii.append(abs(M[0, 0]) if k_i == 0.0 else np.abs(np.linalg.eigvals(M)).max())
+    eigs = closed_loop_spectrum(mu, Gains(k_p=k_p, k_i=k_i)).eigenvalues
+    amplification = step_amplification(eigs, h)
+    assert amplification == pytest.approx(max(radii), rel=1e-9)
+    if amplification > 1.0:
+        limit = largest_stable_step(eigs, h)
+        assert 0.0 < limit < h
+        assert step_amplification(eigs, limit) <= 1.0 < step_amplification(eigs, limit * (1 + 1e-9))

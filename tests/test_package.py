@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "scale",
     "step",
     "target_follower_positions",
-    "trivial_motion_basis",
     "verify_hurwitz",
 ]
 

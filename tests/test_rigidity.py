@@ -15,7 +15,6 @@ from bmv import (
     FormationGraph,
     bearing_rigidity_matrix,
     rigidity_report,
-    trivial_motion_basis,
 )
 from conftest import SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, random_formation
 
@@ -95,25 +94,13 @@ def test_null_space_is_exactly_the_trivial_motions(square_graph, square_config):
     R = bearing_rigidity_matrix(square_graph, square_config)
     _, _, vt = np.linalg.svd(R)
     null_basis = vt[5:].T          # rank 5, so the last 3 right vectors
-    trivial = trivial_motion_basis(square_config).T
+    # translations along each axis, and scaling about the centroid
+    points = square_config.points
+    trivial = np.column_stack(
+        [np.tile(axis, 4) for axis in np.eye(2)] + [(points - points.mean(axis=0)).reshape(-1)]
+    )
     angles = subspace_angles(null_basis, trivial)
     assert np.max(angles) < 1e-8
-
-
-def test_trivial_basis_orthonormal():
-    rng = np.random.default_rng(29)
-    for d in (2, 3):
-        cfg = Configuration(rng.normal(size=(5, d)))
-        basis = trivial_motion_basis(cfg)
-        assert basis.shape == (d + 1, 5 * d)
-        # translations are unit and mutually orthogonal; the radial row is
-        # orthogonal to them because centroid offsets sum to zero
-        np.testing.assert_allclose(basis @ basis.T, np.eye(d + 1), atol=1e-12)
-
-
-def test_trivial_basis_rejects_single_point_cloud():
-    with pytest.raises(DegenerateVector):
-        trivial_motion_basis(Configuration(np.zeros((3, 2))))
 
 
 def test_rigidity_matrix_collocated_raises():
