@@ -36,6 +36,7 @@ from .errors import NotLocalizable, NotRigid, ParseError, ScheduleGap
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
 from .sim import (
+    COORDINATE_LIMIT,
     DEFAULT_DT,
     DEFAULT_GAINS,
     Scenario,
@@ -43,7 +44,6 @@ from .sim import (
     SimContext,
     Trajectory,
     assemble,
-    exponential_fit,
     run,
     structure,
 )
@@ -57,10 +57,6 @@ AXES = "xyz"
 # ParseError is also a ValueError.
 INPUT_ERRORS = (ParseError, OSError)
 VALIDATION_ERRORS = (NotRigid, NotLocalizable, ValueError)
-
-# Largest coordinate magnitude a scenario may give.  Squared differences of
-# such coordinates, summed over three axes, stay far below float overflow.
-COORDINATE_LIMIT = 1e150
 
 # A message echoes at most this many characters of a field path or problem.
 ECHO_LIMIT = 200
@@ -364,14 +360,12 @@ def write_trajectory_csv(
                               traj.tracking_error, traj.centroid, traj.scale], decimate)
 
 
-def write_xi_csv(
-    path: Path, traj: Trajectory, labels: tuple[str, ...], decimate: int = 1
-) -> None:
+def write_xi_csv(path: Path, traj: Trajectory, labels: tuple[str, ...]) -> None:
     axes = AXES[: traj.d]
     header = ["t"] + [
         f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes
     ]
-    _write_csv(path, header, [traj.times, traj.xi], decimate)
+    _write_csv(path, header, [traj.times, traj.xi], 1)
 
 
 def _report(ctx: SimContext) -> HurwitzReport:
@@ -401,16 +395,8 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
     scenario = ctx.scenario
     graph = scenario.graph
     loc = ctx.laplacian.localizability
-    fit = None
-    last = ctx.segments[-1]
-    window = (traj.times >= max(last.t_start, 0.0)) & (traj.tracking_error > 1e-13)
-    if int(window.sum()) >= 3:
-        try:
-            fitted = exponential_fit(traj.times[window], traj.tracking_error[window])
-            fit = {"rate": fitted.rate, "r_squared": fitted.r_squared}
-        except ValueError:
-            fit = None
-
+    fit = None if traj.decay is None else {"rate": traj.decay.rate,
+                                           "r_squared": traj.decay.r_squared}
     return {
         "agents": {
             "n": graph.n,
@@ -424,7 +410,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "dt": scenario.dt,
             "duration": scenario.duration,
             "seed": scenario.seed,
-            "samples": int(traj.times.size),
+            "samples": traj.steps + 1,
             "max_step_amplification": _amplification(ctx),
         },
         "rigidity": {
@@ -465,17 +451,16 @@ def write_bundle(
     ctx: SimContext,
     traj: Trajectory,
     labels: tuple[str, ...],
-    decimate: int = 1,
     dump_xi: bool = False,
 ) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(outdir / "trajectory.csv", traj, labels, decimate)
+    write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
     summary = build_summary(ctx, traj)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     if dump_xi:
-        write_xi_csv(outdir / "xi.csv", traj, labels, decimate)
+        write_xi_csv(outdir / "xi.csv", traj, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +505,8 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
             f"dt = {dt:g} is unstable: one RK4 step multiplies a decaying mode by "
             f"up to {amplification:.4g}; the largest stable dt is about {limit:.4g}"
         )
-    traj = run(ctx)
-    write_bundle(outdir, ctx, traj, loaded.labels, decimate=args.decimate, dump_xi=dump_xi)
+    traj = run(ctx, args.decimate)
+    write_bundle(outdir, ctx, traj, loaded.labels, dump_xi=dump_xi)
     return traj
 
 
@@ -630,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory (default: <scenario>_out)")
     p_run.add_argument("--decimate", type=_integer(1), default=1,
-                       help="write every Nth sample to the CSV")
+                       help="keep every Nth sample, and the final one")
     p_run.add_argument("--dump-xi", action="store_true",
                        help="also write the integral states to xi.csv")
     add_common(p_run)
@@ -646,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out", default="bmv_batch_out", help="output root directory")
     p_batch.add_argument("--workers", type=_integer(1), default=1, help="parallel workers")
     p_batch.add_argument("--decimate", type=_integer(1), default=1,
-                         help="write every Nth sample to the CSVs")
+                         help="keep every Nth sample, and the final one")
     add_common(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 

@@ -145,6 +145,15 @@ class ClosedLoop:
     def _dt_powers(self) -> np.ndarray:
         return self._powers(self.dt, BLOCK_STEPS)
 
+    def tracking_error(self, block: np.ndarray) -> np.ndarray:
+        """||p_f - T_fl p_l|| of rows [p_l, q, eta]: T_fl = -U diag(1/mu) W, and U
+        keeps norms, so it is ||q + W p_l / mu||.  NaN where L_ff is singular."""
+        if not self.lap.localizability.localizable:
+            return np.full(len(block), np.nan)
+        mu, _, W = self._modes
+        x = block[:, self._columns[0]] + block[:, : W.shape[1]] @ W.T / mu
+        return np.sqrt(np.einsum("ij,ij->i", x, x))
+
     def rate(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The state's rate of change: leaders move at v, followers run the PI law."""
         nd = self.lap.matrix.shape[0]

@@ -10,7 +10,7 @@ boundary.  Within a segment the closed loop is one linear system with
 constant input, stepped mode by mode along the eigenvectors of the follower
 block, a block of equal steps at a time (see controller.ClosedLoop); leader
 paths are integrated exactly and two runs of the same scenario agree bit for
-bit.  The metrics are one pass over the stored positions afterwards.
+bit.  The tracking error is read at every step, the other metrics afterwards.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ PERTURBATION_FRACTION = 0.1
 # Commanded shrinking may not take the target scale below this.
 SCALE_FLOOR = 1e-3
 
+# Largest coordinate magnitude a scenario may give or its leaders reach.  Squared
+# differences of such coordinates, summed over three axes, stay far below overflow.
+COORDINATE_LIMIT = 1e150
+
 # Slack when comparing schedule boundary times.
 TIME_TOL = 1e-9
 
@@ -60,7 +64,7 @@ TIME_TOL = 1e-9
 # its temporaries on wide formations and long runs.
 METRICS_BLOCK_ELEMENTS = 1 << 18
 
-# A run stores every state; it may hold at most this many floats (512 MiB).
+# A run's steps, kept or not, may count at most this many state floats (512 MiB).
 MAX_RUN_ELEMENTS = 1 << 26
 
 
@@ -151,7 +155,7 @@ class SimContext:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series of one run.  All arrays share the leading time axis."""
+    """The kept samples of one run.  All arrays share the leading time axis."""
 
     d: int
     n: int
@@ -163,17 +167,12 @@ class Trajectory:
     tracking_error: np.ndarray
     centroid: np.ndarray
     scale: np.ndarray
+    steps: int  # integrated, kept or not
+    decay: ExponentialFit | None  # of the tracking error over the last segment's steps
 
     def __post_init__(self) -> None:
-        for name in (
-            "times",
-            "positions",
-            "xi",
-            "bearing_error",
-            "tracking_error",
-            "centroid",
-            "scale",
-        ):
+        for name in ("times", "positions", "xi", "bearing_error", "tracking_error",
+                     "centroid", "scale"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -260,7 +259,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
 
     can_solve = localizability.localizable
     segments = []
-    for seg in scenario.schedule:
+    for k, seg in enumerate(scenario.schedule):
         if can_solve:
             followers = target_follower_positions(lap, leader_stack)
             target = Configuration(np.concatenate([leader_stack, followers]).reshape(-1, d))
@@ -268,12 +267,16 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             # Forced run on a non-localizable formation: fall back
             # to the reference shape so commands stay well defined.
             target = ref
-        command = combined_command(seg.v_c, target, n_l, seg.scale_rate)
-        velocity = command.leader_velocity_stack()
-        rate = command.expected_scale_rate
         span = max(0.0, min(seg.t_end, scenario.duration) - max(seg.t_start, 0.0))
-        s_start = scale(target)
-        s_end = s_start + rate * span
+        with np.errstate(over="ignore", invalid="ignore"):  # bounded just below
+            command = combined_command(seg.v_c, target, n_l, seg.scale_rate)
+            velocity = command.leader_velocity_stack()
+            rate = command.expected_scale_rate
+            s_start = scale(target)
+            s_end = s_start + rate * span
+            end = leader_stack + velocity * span
+        if not np.all(np.abs(end) <= COORDINATE_LIMIT):
+            raise ValueError(f"schedule[{k}] would carry the leaders beyond {COORDINATE_LIMIT:g}")
         if min(s_start, s_end) < SCALE_FLOOR:
             raise ValueError(
                 f"segment [{seg.t_start}, {seg.t_end}] would shrink the target "
@@ -289,7 +292,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
                 predicted_scale_rate=rate,
             )
         )
-        leader_stack = leader_stack + velocity * span
+        leader_stack = end
 
     target0 = segments[0].target_start
     if scenario.initial_config is not None:
@@ -380,19 +383,16 @@ def _steps(ctx: SimContext):
 
 
 def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
-    """The metric columns of a trajectory, in blocks of samples.
+    """The bearing error, centroid and scale of stored positions, in blocks.
 
     Raises ValueError on non-finite positions and DegenerateVector on
     collocated neighbours.
     """
     graph = ctx.graph
-    n, d, split = graph.n, graph.d, graph.d * graph.n_leaders
+    n, d = graph.n, graph.d
     samples = positions.shape[0]
     out = {
         "bearing_error": np.empty(samples),
-        # A forced run without a unique target leaves tracking undefined;
-        # with no followers the follower map is empty and the error zero.
-        "tracking_error": np.full(samples, np.nan),
         "centroid": np.empty((samples, d)),
         "scale": np.empty(samples),
     }
@@ -409,22 +409,31 @@ def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
         ).sum(axis=-1)
         out["centroid"][block] = pts.mean(axis=1)
         out["scale"][block] = rms_radius(pts)
-        if ctx.laplacian.localizability.localizable:
-            targets = p[:, :split] @ ctx.laplacian.follower_map.T
-            out["tracking_error"][block] = np.linalg.norm(p[:, split:] - targets, axis=1)
     return out
 
 
-def run(ctx: SimContext) -> Trajectory:
-    """Integrate the whole schedule and record metrics at every step.
+def _decay(ctx: SimContext, times: np.ndarray, errors: np.ndarray) -> ExponentialFit | None:
+    """The tracking error's fit over the last segment's steps above 1e-13, or None."""
+    window = (times >= max(ctx.segments[-1].t_start, 0.0)) & (errors > 1e-13)
+    try:
+        return exponential_fit(times[window], errors[window])
+    except WindowTooShort:
+        return None
+
+
+def run(ctx: SimContext, every: int = 1) -> Trajectory:
+    """Integrate the whole schedule, keeping samples 0, every, 2*every, ...
+    and the final one.
 
     The step size is the scenario dt, shortened at each segment boundary so
-    the integrator lands on it exactly.  Metrics are sampled at t=0 and after
-    every step: total bearing mismatch, distance of the followers from their
-    current targets, and the formation's centroid and scale.  Raises
-    ValueError before integrating when the states would exceed
-    MAX_RUN_ELEMENTS floats.
+    the integrator lands on it exactly.  The tracking error (distance of the
+    followers from their current targets) is read at every step and fitted
+    as ``decay``; the kept samples also get the total bearing mismatch and
+    the formation's centroid and scale.  Raises ValueError before
+    integrating when every step's state would exceed MAX_RUN_ELEMENTS floats.
     """
+    if every < 1:
+        raise ValueError(f"every must be at least 1, got {every}")
     graph = ctx.graph
     nd = graph.n * graph.d
     width = nd + graph.d * graph.n_followers
@@ -434,26 +443,41 @@ def run(ctx: SimContext) -> Trajectory:
     if not rows * width <= MAX_RUN_ELEMENTS:
         raise ValueError(
             f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
-            f"more than the {MAX_RUN_ELEMENTS} floats a run may store"
+            f"more than the {MAX_RUN_ELEMENTS} floats a run may step through"
         )
-    states = np.zeros((int(rows), width))
+    kept = np.zeros(((int(rows) - 1) // every + 2, width))
     times = np.zeros(int(rows))
-    states[0, :nd] = ctx.initial_positions
-    ctx.loop.change_basis(states[:1], modal=True)
+    errors = np.empty(int(rows))
+    block = np.zeros((BLOCK_STEPS + 1, width))  # rows [p_l, q, eta]
+    block[0, :nd] = ctx.initial_positions
+    ctx.loop.change_basis(block[:1], modal=True)
+    kept[0] = block[0]
+    errors[:1] = ctx.loop.tracking_error(block[:1])
     k = 0
     for seg, h, stamps in _steps(ctx):
-        ctx.loop.fill(states[k : k + 1 + len(stamps)], seg.leader_velocity, h)
-        times[k + 1 : k + 1 + len(stamps)] = stamps
-        k += len(stamps)
-    states = states[: k + 1]
-    ctx.loop.change_basis(states, modal=False)
-    states[0, :nd] = ctx.initial_positions  # exactly, not through U U^T
+        count = len(stamps)
+        ctx.loop.fill(block[: count + 1], seg.leader_velocity, h)
+        times[k + 1 : k + 1 + count] = stamps
+        errors[k + 1 : k + 1 + count] = ctx.loop.tracking_error(block[1 : count + 1])
+        first = -(-(k + 1) // every) * every  # the first kept step after k
+        kept[first // every : (k + count) // every + 1] = block[first - k : count + 1 : every]
+        block[0] = block[count]
+        k += count
+    at = np.arange(0, k + every, every)
+    at[-1] = k
+    kept = kept[: at.size]
+    kept[-1] = block[0]
+    ctx.loop.change_basis(kept, modal=False)
+    kept[0, :nd] = ctx.initial_positions  # exactly, not through U U^T
     return Trajectory(
         d=graph.d, n=graph.n, n_leaders=graph.n_leaders,
-        times=times[: k + 1],
-        positions=states[:, :nd],
-        xi=states[:, nd:],
-        **_metrics(ctx, states[:, :nd]),
+        times=times[at],
+        positions=kept[:, :nd],
+        xi=kept[:, nd:],
+        tracking_error=errors[at],
+        steps=k,
+        decay=_decay(ctx, times[: k + 1], errors[: k + 1]),
+        **_metrics(ctx, kept[:, :nd]),
     )
 
 

@@ -382,6 +382,23 @@ def test_run_decimate_and_xi(scenario_file, tmp_path):
         assert [x.split(",")[0] for x in xi_lines] == [x.split(",")[0] for x in lines]
 
 
+def test_decimate_leaves_samples_and_decay_fit_alone(scenario_file, tmp_path):
+    out = {}
+    for decimate in (1, 7):
+        out[decimate] = tmp_path / f"out{decimate}"
+        assert main(["run", str(scenario_file), "--out", str(out[decimate]),
+                     "--decimate", str(decimate), "--dump-xi"]) == EXIT_OK
+    full, kept = (json.loads((out[k] / "summary.json").read_text()) for k in (1, 7))
+    assert kept["integration"]["samples"] == full["integration"]["samples"] == 1001
+    assert kept["decay_fit"] == full["decay_fit"] is not None
+    assert kept["final"] == full["final"]
+    for name in ("trajectory.csv", "xi.csv"):
+        rows = (out[1] / name).read_text().splitlines()
+        times = [row.split(",")[0] for row in rows]
+        kept_times = [row.split(",")[0] for row in (out[7] / name).read_text().splitlines()]
+        assert kept_times == times[:1] + times[1::7] + times[-1:]
+
+
 def test_run_overrides_recorded_in_summary(scenario_file, tmp_path):
     outdir = tmp_path / "out"
     main([
@@ -594,6 +611,25 @@ def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, dt):
     summary = json.loads((out / "summary.json").read_text())
     assert 0.0 < summary["integration"]["max_step_amplification"] < 1.0
     assert summary["final"]["tracking_error"] < 1e-6
+
+
+@pytest.mark.parametrize("key, value", [("vc", [1e300, 0.0]), ("scale_rate", 1e300)])
+def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, key, value):
+    # the leaders would pass 1e150 and their bearings would overflow
+    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
+    doc["schedule"][0][key] = value
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    src = Path(bmv.__file__).resolve().parents[1]
+    failed = subprocess.run(
+        [sys.executable, "-m", "bmv.cli", "run", str(path), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert failed.returncode == EXIT_VALIDATION
+    assert failed.stderr == (
+        f"error: schedule[0] would carry the leaders beyond {COORDINATE_LIMIT:g}\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("dt, stable", [("0.2", False), ("0.07", True)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmv import (
     BearingSpec,
@@ -54,11 +56,22 @@ def test_projector_properties_random():
         assert np.linalg.eigvalsh(P).min() > -1e-14
 
 
-def test_projector_scale_invariant():
-    x = np.array([0.3, -1.2, 0.5])
-    np.testing.assert_allclose(
-        _edge_projector(x), _edge_projector(40.0 * x), atol=1e-14
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    d=st.integers(2, 3),
+    factor=st.floats(0.01, 100.0),
+)
+def test_projector_scale_invariant(seed, n, d, factor):
+    # every block of the Laplacian sums edge projectors, which see only bearings
+    rng = np.random.default_rng(seed)
+    graph, cfg = random_formation(rng, n, d, edge_prob=0.8)
+    lap, scaled = (
+        bearing_laplacian(graph, BearingSpec.from_configuration(graph, c))
+        for c in (cfg, Configuration(factor * cfg.points))
     )
+    np.testing.assert_allclose(scaled.matrix, lap.matrix, atol=1e-14)
 
 
 def test_projector_rejects_zero_vector():

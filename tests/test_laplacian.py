@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmv import (
     BearingSpec,
@@ -49,17 +51,23 @@ def test_laplacian_symmetric_psd():
         assert np.linalg.eigvalsh(lap.matrix).min() > -1e-12
 
 
-def test_laplacian_annihilates_generating_configuration():
-    rng = np.random.default_rng(13)
-    for _ in range(8):
-        graph, cfg = random_formation(rng, 5, 2, n_leaders=1, edge_prob=0.8)
-        lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, cfg))
-        p = cfg.stacked
-        assert np.linalg.norm(lap.matrix @ p) < 1e-10 * (1.0 + np.linalg.norm(p))
-        for axis in range(2):
-            shift = np.zeros(p.size)
-            shift[axis::2] = 1.0
-            assert np.linalg.norm(lap.matrix @ shift) < 1e-12
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    d=st.integers(2, 3),
+    edge_prob=st.floats(0.3, 1.0),
+)
+def test_laplacian_annihilates_generating_configuration(seed, n, d, edge_prob):
+    rng = np.random.default_rng(seed)
+    graph, cfg = random_formation(rng, n, d, n_leaders=1, edge_prob=edge_prob)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, cfg))
+    p = cfg.stacked
+    assert np.linalg.norm(lap.matrix @ p) < 1e-10 * (1.0 + np.linalg.norm(p))
+    for axis in range(d):
+        shift = np.zeros(p.size)
+        shift[axis::d] = 1.0
+        assert np.linalg.norm(lap.matrix @ shift) < 1e-12
 
 
 def test_block_partition_views():
@@ -103,22 +111,44 @@ def test_follower_solve_reproduces_reference():
     np.testing.assert_allclose(followers, SQUARE_POINTS[2:].reshape(-1), atol=1e-10)
 
 
-def test_follower_solve_translation_equivariant():
-    _, lap = _square_laplacian()
-    shift = np.array([3.0, -1.5])
-    leaders = (SQUARE_POINTS[:2] + shift).reshape(-1)
-    followers = target_follower_positions(lap, leaders).reshape(-1, 2)
-    np.testing.assert_allclose(followers, SQUARE_POINTS[2:] + shift, atol=1e-10)
+def _localizable_laplacian(seed, n, d, leaders):
+    """A random formation whose follower block is well inside positive definite."""
+    rng = np.random.default_rng(seed)
+    graph, cfg = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, cfg))
+    loc = lap.localizability
+    assume(loc.localizable and loc.min_eigenvalue > 1e-3)
+    return cfg.points, lap
 
 
-def test_follower_solve_homogeneous():
+FORMATIONS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 7),
+    d=st.integers(2, 3),
+    leaders=st.integers(2, 4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FORMATIONS, shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_follower_solve_translation_equivariant(seed, n, d, leaders, shift):
+    points, lap = _localizable_laplacian(seed, n, d, leaders)
+    shift = np.array(shift[:d])
+    n_l = lap.n_leaders
+    followers = target_follower_positions(lap, (points[:n_l] + shift).reshape(-1))
+    np.testing.assert_allclose(followers.reshape(-1, d), points[n_l:] + shift, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FORMATIONS, factor=st.floats(0.1, 10.0))
+def test_follower_solve_homogeneous(seed, n, d, leaders, factor):
     # The solve is linear in the leader stack, so scaling about the origin
     # scales the followers with it.
-    _, lap = _square_laplacian()
-    leaders = SQUARE_POINTS[:2].reshape(-1)
+    points, lap = _localizable_laplacian(seed, n, d, leaders)
+    leaders = points[: lap.n_leaders].reshape(-1)
     base = target_follower_positions(lap, leaders)
-    scaled = target_follower_positions(lap, 2.5 * leaders)
-    np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-10)
+    scaled = target_follower_positions(lap, factor * leaders)
+    np.testing.assert_allclose(scaled, factor * base, atol=1e-10)
 
 
 def test_follower_solve_requires_localizability():

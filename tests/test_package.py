@@ -1,5 +1,11 @@
 """The package's public surface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bmv
 
 PUBLIC_NAMES = [
@@ -59,3 +65,20 @@ def test_public_names_are_pinned_and_importable():
     namespace = {}
     exec("from bmv import *", namespace)  # fails on a listed name that is missing
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_benchmark_probe_runs_on_the_2d_bundle(tmp_path):
+    # The probe also calls run(ctx), build_summary(ctx, traj),
+    # write_trajectory_csv(path, traj, labels, decimate) with a positional
+    # decimate, Trajectory.configuration and step.
+    checkout = Path(bmv.__file__).resolve().parents[2]
+    scenario = checkout / "src" / "bmv" / "scenarios" / "narrow_passage_2d.json"
+    done = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "probe.py"), str(scenario), "np2d", "7",
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["steps"] == 24000
+    assert report["spans"]

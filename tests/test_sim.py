@@ -2,10 +2,11 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmv import (
@@ -28,7 +29,7 @@ from bmv import (
     step,
     target_follower_positions,
 )
-from conftest import SQUARE_EDGES, SQUARE_POINTS
+from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
 def _square_scenario(**overrides):
@@ -359,6 +360,68 @@ def test_all_leader_formation_runs():
     traj = run(assemble(scenario))
     np.testing.assert_array_equal(traj.tracking_error, np.zeros(traj.times.size))
     assert traj.xi.shape[1] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 7),
+    d=st.integers(2, 3),
+    leaders=st.integers(1, 7),
+    k_p=st.floats(0.1, 5.0),
+    k_i=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    duration=st.floats(0.2, 3.0),
+    every=st.integers(1, 20),
+)
+@example(seed=1, n=4, d=2, leaders=1, k_p=1.0, k_i=0.5, duration=2.93, every=7)  # forced
+@example(seed=1, n=4, d=2, leaders=4, k_p=1.0, k_i=0.5, duration=2.93, every=7)  # all leaders
+def test_run_keeps_every_nth_sample_of_the_full_run(seed, n, d, leaders, k_p, k_i, duration,
+                                                    every):
+    # over 128 steps the blocks of the integrator and the kept rows interleave
+    rng = np.random.default_rng(seed)
+    graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n), edge_prob=0.8)
+    split = rng.uniform(0.1, 0.9) * duration
+    scenario = Scenario(
+        graph=graph, reference_config=ref,
+        schedule=(Segment(0.0, split, rng.normal(size=d)),
+                  Segment(split, duration, rng.normal(size=d), scale_rate=0.1)),
+        duration=duration, gains=Gains(k_p=k_p, k_i=k_i), dt=0.01, seed=seed,
+    )
+    ctx = assemble(scenario, force=True)
+    full, kept = run(ctx), run(ctx, every)
+    at = sorted({*range(0, full.times.size, every), full.times.size - 1})
+    assert kept.steps == full.steps == full.times.size - 1
+    assert kept.decay == full.decay
+    np.testing.assert_array_equal(kept.times, full.times[at])
+    np.testing.assert_array_equal(kept.tracking_error, full.tracking_error[at])
+    size = float(np.abs(full.positions).max())
+    for name in ("positions", "xi"):
+        expected = getattr(full, name)[at]
+        bound = 1e-13 * np.abs(expected).max(initial=0.0)
+        np.testing.assert_allclose(getattr(kept, name), expected, rtol=0, atol=bound)
+    for name in ("bearing_error", "centroid", "scale"):
+        np.testing.assert_allclose(getattr(kept, name), getattr(full, name)[at],
+                                   rtol=0, atol=1e-12 * (1.0 + size))
+
+
+def test_forced_run_reads_no_tracking_error_and_warns_nothing():
+    # the follower touches no edge, so L_ff = 0 and every mu is exactly 0
+    graph = FormationGraph(n=3, d=2, edges=((0, 1),), n_leaders=2)
+    ctx = assemble(
+        _square_scenario(graph=graph, reference_config=Configuration(SQUARE_POINTS[:3])),
+        force=True,
+    )
+    assert not np.any(ctx.laplacian.localizability.eigenvalues)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(ctx, 7)
+    assert np.all(np.isnan(traj.tracking_error))
+    assert traj.decay is None
+
+
+def test_run_rejects_a_non_positive_every():
+    with pytest.raises(ValueError, match="every"):
+        run(assemble(_square_scenario(duration=0.1)), 0)
 
 
 def test_single_step_matches_run_start():
