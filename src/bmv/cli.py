@@ -120,8 +120,8 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     if "dimension" not in doc:
         raise _fail(origin, "dimension", "missing")
     d = doc["dimension"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
-        raise _fail(origin, "dimension", f"expected an integer >= 2, got {d!r}")
+    if isinstance(d, bool) or not isinstance(d, int) or not 2 <= d <= len(AXES):
+        raise _fail(origin, "dimension", f"expected an integer from 2 to {len(AXES)}, got {d!r}")
 
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:

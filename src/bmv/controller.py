@@ -102,20 +102,13 @@ class ClosedLoop:
     The leaders move at the constant stacked velocity v.  Along the
     eigenvectors U of L_ff = U diag(mu) U^T the followers split into one
     system per mode on [q, eta, f, g]: q = U^T p_f, eta = U^T xi and the
-    affine leader forcing f = W p_l, f' = g = W v, with W = U^T L_fl.  One
-    classical RK4 step of length h is then one 4x4 matrix K(h) per mode.
-    U is computed on the first step; commands that do not step skip it.
+    affine leader forcing f = W p_l, f' = g = W v, with (mu, U, W) = lap.modes.
+    One classical RK4 step of length h is then one 4x4 matrix K(h) per mode.
     """
 
     lap: BearingLaplacian = field(repr=False)
     gains: Gains
     dt: float
-
-    @cached_property
-    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, U, W): the eigenpairs of L_ff and W = U^T L_fl."""
-        mu, U = np.linalg.eigh(self.lap.L_ff)
-        return mu, U, U.T @ self.lap.L_fl
 
     @property
     def _columns(self) -> tuple[slice, slice]:
@@ -125,7 +118,7 @@ class ClosedLoop:
 
     def _powers(self, h: float, count: int) -> np.ndarray:
         """Rows q and eta of K(h)^i for i = 1..count, shaped (2, 4, count, modes)."""
-        mu = self._modes[0]
+        mu = self.lap.modes[0]
         k_p, k_i = self.gains.k_p, self.gains.k_i
         one, zero = np.ones_like(mu), np.zeros_like(mu)
         A = [[-k_p * mu, -k_i * one, -k_p * one, zero], [mu, zero, one, zero],
@@ -150,7 +143,7 @@ class ClosedLoop:
         keeps norms, so it is ||q + W p_l / mu||.  NaN where L_ff is singular."""
         if not self.lap.localizability.localizable:
             return np.full(len(block), np.nan)
-        mu, _, W = self._modes
+        mu, _, W = self.lap.modes
         x = block[:, self._columns[0]] + block[:, : W.shape[1]] @ W.T / mu
         return np.sqrt(np.einsum("ij,ij->i", x, x))
 
@@ -162,7 +155,7 @@ class ClosedLoop:
 
     def change_basis(self, states: np.ndarray, modal: bool) -> None:
         """Turn rows [p_l, p_f, xi] into [p_l, q, eta] in place, or back."""
-        U = self._modes[1]
+        U = self.lap.modes[1]
         U = U if modal else U.T
         rows = max(1, CHUNK_ELEMENTS // max(U.shape[0], 1))
         for start in range(0, len(states), rows):
@@ -173,7 +166,7 @@ class ClosedLoop:
     def fill(self, block: np.ndarray, v: np.ndarray, h: float) -> None:
         """Write RK4 steps of length h into block[1:], at most BLOCK_STEPS of
         them, from the state in block[0]; rows are [p_l, q, eta]."""
-        mu, _, W = self._modes
+        mu, _, W = self.lap.modes
         count = len(block) - 1
         table = self._dt_powers if h == self.dt else self._powers(h, count)
         leaders = block[:, : v.size]

@@ -249,6 +249,11 @@ def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     return diffs / norms[..., None]
 
 
+def edge_projectors(bearings: np.ndarray) -> np.ndarray:
+    """I - g g^T for every row g of the (m, d) bearings, as one (m, d, d) array."""
+    return np.eye(bearings.shape[-1]) - bearings[:, :, None] * bearings[:, None, :]
+
+
 def desired_bearing(graph: FormationGraph, spec: BearingSpec, i: int, j: int) -> np.ndarray:
     """Target bearing from agent i to agent j, with the right sign."""
     ensure_aligned(graph, spec)

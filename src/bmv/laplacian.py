@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotLocalizable
-from .formation import BearingSpec, FormationGraph, ensure_aligned
+from .formation import BearingSpec, FormationGraph, edge_projectors, ensure_aligned
 
 # Relative eigenvalue cutoff for calling the follower block positive definite.
 TAU_PD = 1e-9
@@ -84,15 +84,23 @@ class BearingLaplacian:
         return self.matrix[s:, s:]
 
     @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, U, W), read-only: L_ff = U diag(mu) U^T, mu ascending, W = U^T L_fl.
+        The one eigensolve of L_ff; everything built from L_ff reads it."""
+        mu, U = np.linalg.eigh(self.L_ff)
+        modes = (mu, U, U.T @ self.L_fl)
+        for array in modes:
+            array.setflags(write=False)
+        return modes
+
+    @cached_property
     def localizability(self) -> LocalizabilityResult:
-        """Positive definiteness of the follower block.
+        """Positive definiteness of the follower block, from the eigenvalues mu.
 
         With no followers the block is empty and the formation is vacuously
-        localizable; the minimum eigenvalue is reported as +inf.  This is the
-        one eigensolve of L_ff; the closed-loop spectrum is built from it.
+        localizable; the minimum eigenvalue is reported as +inf.
         """
-        eigs = np.linalg.eigvalsh(self.L_ff)
-        eigs.setflags(write=False)
+        eigs = self.modes[0]
         if self.n_followers == 0:
             return LocalizabilityResult(True, math.inf, eigs)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
@@ -100,7 +108,7 @@ class BearingLaplacian:
 
     @cached_property
     def follower_map(self) -> np.ndarray:
-        """T_fl = -L_ff^-1 L_fl, mapping stacked leader to follower targets.
+        """T_fl = -L_ff^-1 L_fl = -U diag(1/mu) W: stacked leader to follower targets.
 
         Raises NotLocalizable on a singular follower block and ArithmeticError
         unless the Frobenius norm of L_ff T_fl + L_fl, which bounds every
@@ -111,12 +119,14 @@ class BearingLaplacian:
             raise NotLocalizable(
                 f"follower block is singular (min eigenvalue {loc.min_eigenvalue:.3e})"
             )
-        T = -np.linalg.solve(self.L_ff, self.L_fl)
+        mu, U, W = self.modes
+        inverse = U / mu  # L_ff^-1 = inverse @ U^T
+        T = -inverse @ W
+        # One refinement step wins back the accuracy 1/mu costs the eigenvectors.
+        T -= inverse @ (U.T @ (self.L_ff @ T + self.L_fl))
         residual = np.linalg.norm(self.L_ff @ T + self.L_fl)
         if residual >= SOLVE_RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"follower solve residual {residual:.3e} exceeds tolerance"
-            )
+            raise ArithmeticError(f"follower solve residual {residual:.3e} exceeds tolerance")
         T.setflags(write=False)
         return T
 
@@ -130,20 +140,14 @@ def bearing_laplacian(graph: FormationGraph, spec: BearingSpec) -> BearingLaplac
     """
     ensure_aligned(graph, spec)
     d, n = graph.d, graph.n
+    P = edge_projectors(spec.vectors)
+    i, j = graph.edge_array.T
+    # Each edge's blocks (i, i), (j, j), (i, j), (j, i) in turn: diagonals sum in edge order.
+    rows, cols = np.stack([i, j, i, j], axis=1), np.stack([i, j, j, i], axis=1)
     L = np.zeros((d * n, d * n))
-    eye = np.eye(d)
-    for k, (i, j) in enumerate(graph.edges):
-        g = spec.vectors[k]
-        proj = eye - np.outer(g, g)
-        bi = slice(d * i, d * (i + 1))
-        bj = slice(d * j, d * (j + 1))
-        L[bi, bi] += proj
-        L[bj, bj] += proj
-        L[bi, bj] -= proj
-        L[bj, bi] -= proj
-    return BearingLaplacian(
-        matrix=L, d=d, n_leaders=graph.n_leaders, n_followers=graph.n_followers
-    )
+    np.add.at(L.reshape(n, d, n, d), (rows.ravel(), slice(None), cols.ravel()),
+              np.stack([P, P, -P, -P], axis=1).reshape(-1, d, d))
+    return BearingLaplacian(L, d, graph.n_leaders, graph.n_followers)
 
 
 def check_localizable(lap: BearingLaplacian) -> LocalizabilityResult:

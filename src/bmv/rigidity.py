@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formation import Configuration, FormationGraph, edge_bearings, ensure_compatible
+from .formation import (Configuration, FormationGraph, edge_bearings, edge_projectors,
+                        ensure_compatible, sum_squares)
 
 # Relative singular-value cutoff for the numerical rank.
 TAU_RANK = 1e-9
@@ -40,17 +41,13 @@ def bearing_rigidity_matrix(graph: FormationGraph, config: Configuration) -> np.
     """
     ensure_compatible(graph, config)
     d, n, m = graph.d, graph.n, graph.m
-    bearings = edge_bearings(graph, config.points)
-    R = np.zeros((d * m, d * n))
-    eye = np.eye(d)
-    for k, (i, j) in enumerate(graph.edges):
-        g = bearings[k]
-        dist = np.linalg.norm(config.points[j] - config.points[i])
-        block = (eye - np.outer(g, g)) / dist
-        rows = slice(d * k, d * (k + 1))
-        R[rows, d * i : d * (i + 1)] = -block
-        R[rows, d * j : d * (j + 1)] = block
-    return R
+    pts, (i, j) = config.points, graph.edge_array.T
+    dist = np.sqrt(sum_squares(pts[j] - pts[i]))
+    block = edge_projectors(edge_bearings(graph, pts)) / dist[:, None, None]
+    R = np.zeros((m, d, n, d))
+    R[np.arange(m), :, i] = -block
+    R[np.arange(m), :, j] = block
+    return R.reshape(d * m, d * n)
 
 
 def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityReport:

@@ -445,6 +445,7 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
             f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
             f"more than the {MAX_RUN_ELEMENTS} floats a run may step through"
         )
+    every = min(every, int(rows))  # the same rows, and np.arange below stays integer
     kept = np.zeros(((int(rows) - 1) // every + 2, width))
     times = np.zeros(int(rows))
     errors = np.empty(int(rows))

@@ -1,7 +1,9 @@
 """Shared fixtures and oracle helpers for the test suite.
 
 The finite-difference Jacobian here is the independent reference the
-analytic rigidity matrix is checked against; keep it dumb on purpose.
+analytic rigidity matrix is checked against, and the per-edge loops are the
+references for the vectorized Laplacian and rigidity-matrix assembly; keep
+them dumb on purpose.
 """
 
 import itertools
@@ -9,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bmv import Configuration, FormationGraph, bearing_function
+from bmv import BearingSpec, Configuration, FormationGraph, bearing_function
 
 # Central differences with this step put the FD error near 1e-9 for
 # unit-scale formations, well inside the 1e-6 comparison tolerance.
@@ -32,6 +34,39 @@ def fd_bearing_jacobian(graph: FormationGraph, config: Configuration, h: float =
         f_minus = bearing_function(graph, Configuration.from_stacked(minus, graph.d))
         cols.append((f_plus - f_minus) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def laplacian_loop(graph: FormationGraph, spec: BearingSpec) -> np.ndarray:
+    """The bearing Laplacian's (d*n, d*n) matrix, one edge's projector at a time."""
+    d, n = graph.d, graph.n
+    L = np.zeros((d * n, d * n))
+    eye = np.eye(d)
+    for k, (i, j) in enumerate(graph.edges):
+        g = spec.vectors[k]
+        proj = eye - np.outer(g, g)
+        bi = slice(d * i, d * (i + 1))
+        bj = slice(d * j, d * (j + 1))
+        L[bi, bi] += proj
+        L[bj, bj] += proj
+        L[bi, bj] -= proj
+        L[bj, bi] -= proj
+    return L
+
+
+def rigidity_matrix_loop(graph: FormationGraph, config: Configuration) -> np.ndarray:
+    """The bearing rigidity matrix, one edge's row block at a time."""
+    d, n, m = graph.d, graph.n, graph.m
+    bearings = bearing_function(graph, config).reshape(m, d)
+    R = np.zeros((d * m, d * n))
+    eye = np.eye(d)
+    for k, (i, j) in enumerate(graph.edges):
+        g = bearings[k]
+        dist = np.linalg.norm(config.points[j] - config.points[i])
+        block = (eye - np.outer(g, g)) / dist
+        rows = slice(d * k, d * (k + 1))
+        R[rows, d * i : d * (i + 1)] = -block
+        R[rows, d * j : d * (j + 1)] = block
+    return R
 
 
 def random_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -95,6 +95,7 @@ def test_parse_orders_leaders_first():
     [
         (lambda d: d.pop("dimension"), "dimension"),
         (lambda d: d.update(dimension=1), "dimension"),
+        (lambda d: d.update(dimension=4), "dimension"),
         (lambda d: d.update(extra=1), "extra"),
         (lambda d: d["agents"][0].pop("id"), "non-empty string"),
         (lambda d: d["agents"][0].update(id="b"), "duplicate"),
@@ -444,16 +445,29 @@ def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, 
 
 
 def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
-    # The spectrum comes from the follower block's symmetric eigensolve.
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg.eigvals called")
+    # Localizability, the follower map, the spectrum and the loop's modes all
+    # come from one symmetric eigensolve of the follower block per scenario.
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for name in ("eigvals", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
     path = str(bundled_scenario_path("narrow_passage_2d"))
+    other = str(bundled_scenario_path("narrow_passage_3d"))
     out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--decimate", "100"]) == EXIT_OK
-    assert main(["spectrum", path]) == EXIT_OK
-    assert main(["batch", path, "--out", str(tmp_path / "batch"), "--decimate", "100"]) == EXIT_OK
+    for argv, scenarios in (
+        (["check", path], 1),
+        (["run", path, "--out", str(out), "--decimate", "100"], 1),
+        (["spectrum", path], 1),
+        (["batch", path, other, "--out", str(tmp_path / "batch"), "--decimate", "100"], 2),
+    ):
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        assert len(calls) == scenarios, argv
 
 
 def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):
@@ -651,6 +665,16 @@ def test_batch_deduplicates_output_names(tmp_path):
     assert code == EXIT_OK
     assert (out_root / "same").is_dir()
     assert (out_root / "same_2").is_dir()
+
+
+def test_huge_decimate_keeps_the_first_and_final_rows(tmp_path):
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    huge = str(2**64)
+    assert main(["run", path, "--out", str(tmp_path / "run"), "--decimate", huge]) == EXIT_OK
+    assert main(["batch", path, "--out", str(tmp_path / "batch"), "--decimate", huge]) == EXIT_OK
+    for csv in (tmp_path / "run", tmp_path / "batch" / "narrow_passage_2d"):
+        rows = (csv / "trajectory.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 24.0]
 
 
 def test_rejects_nonpositive_decimate(scenario_file, capsys):

@@ -14,10 +14,20 @@ from bmv import (
     FormationGraph,
     NotLocalizable,
     bearing_laplacian,
+    bearing_rigidity_matrix,
     check_localizable,
     target_follower_positions,
 )
-from conftest import SQUARE_POINTS, random_formation
+from conftest import (
+    SQUARE_POINTS,
+    laplacian_loop,
+    random_formation,
+    rigidity_matrix_loop,
+)
+
+# The follower map from the eigenpairs of L_ff agrees with an LU solve within
+# this many eps * cond(L_ff), relative to the largest entry.
+MODAL_SOLVE_FACTOR = 1.0
 
 
 def _square_laplacian(n_leaders=2):
@@ -68,6 +78,22 @@ def test_laplacian_annihilates_generating_configuration(seed, n, d, edge_prob):
         shift = np.zeros(p.size)
         shift[axis::d] = 1.0
         assert np.linalg.norm(lap.matrix @ shift) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    d=st.integers(2, 3),
+    edge_prob=st.floats(0.3, 1.0),
+)
+def test_assembly_matches_the_per_edge_loops(seed, n, d, edge_prob):
+    rng = np.random.default_rng(seed)
+    graph, cfg = random_formation(rng, n, d, n_leaders=1, edge_prob=edge_prob)
+    spec = BearingSpec.from_configuration(graph, cfg)
+    assert np.array_equal(bearing_laplacian(graph, spec).matrix, laplacian_loop(graph, spec))
+    R, reference = bearing_rigidity_matrix(graph, cfg), rigidity_matrix_loop(graph, cfg)
+    assert np.abs(R - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
 def test_block_partition_views():
@@ -149,6 +175,32 @@ def test_follower_solve_homogeneous(seed, n, d, leaders, factor):
     base = target_follower_positions(lap, leaders)
     scaled = target_follower_positions(lap, factor * leaders)
     np.testing.assert_allclose(scaled, factor * base, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 12),
+    d=st.integers(2, 3),
+    exponent=st.floats(-4.0, -0.5),
+)
+def test_follower_map_on_near_collinear_chains(seed, n, d, exponent):
+    # Agents strung along the x axis, at most 10**exponent off it, with edges
+    # (k, k+1) and (k, k+2): L_ff grows ill-conditioned as the chain
+    # flattens, down to lambda_min / lambda_max = TAU_PD.
+    rng = np.random.default_rng(seed)
+    points = np.zeros((n, d))
+    points[:, 0] = np.arange(n) + rng.uniform(-0.3, 0.3, n)
+    points[:, 1:] = 10.0**exponent * rng.uniform(-1.0, 1.0, (n, d - 1))
+    edges = tuple((k, k + s) for k in range(n) for s in (1, 2) if k + s < n)
+    graph = FormationGraph(n=n, d=d, edges=edges, n_leaders=2)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, Configuration(points)))
+    assume(lap.localizability.localizable)  # lambda_min > TAU_PD * lambda_max
+    mu = lap.modes[0]
+    T = lap.follower_map  # the residual check passes
+    reference = -np.linalg.solve(lap.L_ff, lap.L_fl)
+    bound = MODAL_SOLVE_FACTOR * np.finfo(float).eps * mu[-1] / mu[0]
+    assert np.abs(T - reference).max() <= bound * np.abs(reference).max()
 
 
 def test_follower_solve_requires_localizability():
