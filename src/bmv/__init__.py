@@ -42,7 +42,6 @@ from .laplacian import (
     target_follower_positions,
 )
 from .maneuver import (
-    ManeuverCommand,
     combined_command,
     scale,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Gains",
     "HurwitzReport",
     "LocalizabilityResult",
-    "ManeuverCommand",
     "NotLocalizable",
     "NotRigid",
     "ParseError",

@@ -437,7 +437,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             {
                 "t_start": seg.t_start,
                 "t_end": seg.t_end,
-                "v_c": [float(v) for v in seg.command.v_c],
+                "v_c": [float(v) for v in seg.v_c],
                 "predicted_scale_rate": seg.predicted_scale_rate,
                 "target_scale_at_start": scale(seg.target_start),
             }
@@ -522,7 +522,7 @@ def cmd_run(args) -> int:
 def cmd_spectrum(args) -> int:
     loaded = _apply_overrides(load_scenario(args.scenario), args)
     ctx = assemble(loaded.scenario, force=args.force)
-    doc = {**_spectrum(ctx), "max_step_amplification": _amplification(ctx)}
+    doc = {**_spectrum(ctx), "max_step_amplification": _finite(_amplification(ctx))}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -23,23 +23,29 @@ from .laplacian import BearingLaplacian
 # An eigenvalue real part above -TAU_HURWITZ disqualifies the matrix.
 TAU_HURWITZ = 1e-10
 
+# Largest gain accepted.  Every block of the Laplacian is a projector, so each
+# eigenvalue mu of L_ff is at most 2n, and (k mu)^2 stays far below overflow.
+GAIN_LIMIT = 1e100
+
 
 @dataclass(frozen=True)
 class Gains:
     """Proportional and integral gains.
 
     k_p must be positive.  k_i may be zero, which degenerates to the
-    proportional-only law (no disturbance rejection).
+    proportional-only law (no disturbance rejection).  Neither may exceed
+    GAIN_LIMIT.
     """
 
     k_p: float
     k_i: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.k_p) and self.k_p > 0.0):
-            raise ValueError(f"k_p must be positive, got {self.k_p!r}")
-        if not (np.isfinite(self.k_i) and self.k_i >= 0.0):
-            raise ValueError(f"k_i must be non-negative, got {self.k_i!r}")
+        if not 0.0 < self.k_p <= GAIN_LIMIT:
+            raise ValueError(f"k_p must be positive and at most {GAIN_LIMIT:g}, got {self.k_p!r}")
+        if not 0.0 <= self.k_i <= GAIN_LIMIT:
+            raise ValueError(f"k_i must be non-negative and at most {GAIN_LIMIT:g}, "
+                             f"got {self.k_i!r}")
 
 
 class HurwitzReport(NamedTuple):
@@ -258,8 +264,8 @@ def step_amplification(eigenvalues: np.ndarray, h: float) -> float:
     once |h lambda| is below the float resolution.  Without a decaying mode
     the value is 0.
     """
-    x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < -TAU_HURWITZ]
     with np.errstate(over="ignore", invalid="ignore"):
+        x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < -TAU_HURWITZ]
         r = np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
     r[np.isnan(r)] = np.inf
     return float(r.max(initial=0.0))

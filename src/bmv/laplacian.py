@@ -37,7 +37,7 @@ class BearingLaplacian:
     """Bearing Laplacian with its leader/follower partition.
 
     ``matrix`` is the full (d*n, d*n) array, agents ordered leaders first.
-    The four named blocks are read-only views.
+    The follower rows' blocks L_fl and L_ff are read-only views.
     """
 
     matrix: np.ndarray
@@ -62,16 +62,6 @@ class BearingLaplacian:
     @property
     def _split(self) -> int:
         return self.d * self.n_leaders
-
-    @property
-    def L_ll(self) -> np.ndarray:
-        s = self._split
-        return self.matrix[:s, :s]
-
-    @property
-    def L_lf(self) -> np.ndarray:
-        s = self._split
-        return self.matrix[:s, s:]
 
     @property
     def L_fl(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from .formation import (
     sum_squares,
 )
 from .laplacian import BearingLaplacian, bearing_laplacian, target_follower_positions
-from .maneuver import ManeuverCommand, combined_command, rms_radius, scale
+from .maneuver import combined_command, rms_radius, scale
 from .rigidity import RigidityReport, rigidity_report
 
 logger = logging.getLogger(__name__)
@@ -130,7 +130,7 @@ class ResolvedSegment:
 
     t_start: float
     t_end: float
-    command: ManeuverCommand
+    v_c: np.ndarray
     leader_velocity: np.ndarray
     target_start: Configuration
     predicted_scale_rate: float
@@ -269,10 +269,9 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             target = ref
         span = max(0.0, min(seg.t_end, scenario.duration) - max(seg.t_start, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):  # bounded just below
-            command = combined_command(seg.v_c, target, n_l, seg.scale_rate)
-            velocity = command.leader_velocity_stack()
-            rate = command.expected_scale_rate
+            velocity = combined_command(seg.v_c, target, n_l, seg.scale_rate)
             s_start = scale(target)
+            rate = seg.scale_rate * s_start
             s_end = s_start + rate * span
             end = leader_stack + velocity * span
         if not np.all(np.abs(end) <= COORDINATE_LIMIT):
@@ -286,7 +285,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             ResolvedSegment(
                 t_start=seg.t_start,
                 t_end=seg.t_end,
-                command=command,
+                v_c=seg.v_c,
                 leader_velocity=velocity,
                 target_start=target,
                 predicted_scale_rate=rate,

@@ -109,6 +109,8 @@ def test_parse_orders_leaders_first():
         (lambda d: d.update(edges=[]), "edges"),
         (lambda d: d.update(gains={"kp": -1.0}), "gains"),
         (lambda d: d.update(gains={"kq": 1.0}), "gains"),
+        (lambda d: d.update(gains={"kp": 1e300}), "gains: k_p must be .* at most 1e.100"),
+        (lambda d: d.update(gains={"ki": 1e300}), "gains: k_i must be .* at most 1e.100"),
         (lambda d: d["schedule"][0].pop("t1"), "t0 and t1"),
         (lambda d: d["schedule"][0].update(t1=0.0), "end after it starts"),
         (lambda d: d["schedule"][0].update(vc=[0.0]), "vc"),
@@ -646,11 +648,39 @@ def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("dt, stable", [("0.2", False), ("0.07", True)])
+@pytest.mark.parametrize("gains", [{"kp": 1e300, "ki": 1e300}, {"kp": 1e200, "ki": 1.0}])
+def test_run_refuses_gains_past_the_limit(tmp_path, gains):
+    # such gains would overflow the closed-loop spectrum, and with it the
+    # search for a stable step
+    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
+    doc["gains"] = gains
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    src = Path(bmv.__file__).resolve().parents[1]
+    failed = subprocess.run(
+        [sys.executable, "-m", "bmv.cli", "run", str(path), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=30,
+    )
+    assert failed.returncode == EXIT_INPUT
+    assert failed.stderr.count("\n") == 1
+    assert failed.stderr.startswith(f"error: {path}: gains: k_p must be positive and at most")
+    assert not (tmp_path / "o").exists()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("dt, stable", [("0.2", False), ("0.07", True), ("1e+300", None)])
 def test_spectrum_reports_the_step_amplification(dt, stable, capsys):
     path = str(bundled_scenario_path("narrow_passage_2d"))
     assert main(["spectrum", path, "--dt", dt]) == EXIT_OK
-    assert (json.loads(capsys.readouterr().out)["max_step_amplification"] < 1.0) == stable
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    amplification = doc["max_step_amplification"]
+    if stable is None:  # overflowed: null, not Infinity
+        assert amplification is None
+    else:
+        assert (amplification < 1.0) == stable
 
 
 def test_batch_deduplicates_output_names(tmp_path):

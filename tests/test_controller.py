@@ -1,6 +1,7 @@
 """PI control law: local form vs stacked form, spectrum structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bmv import (
     verify_hurwitz,
 )
 from bmv.cli import bundled_scenario_path, load_scenario
-from bmv.controller import largest_stable_step, step_amplification
+from bmv.controller import GAIN_LIMIT, largest_stable_step, step_amplification
 from bmv.sim import structure
 from conftest import random_formation
 
@@ -46,6 +47,11 @@ def test_gains_validation():
         Gains(k_p=1.0, k_i=-0.1)
     with pytest.raises(ValueError):
         Gains(k_p=float("nan"), k_i=1.0)
+    Gains(k_p=GAIN_LIMIT, k_i=GAIN_LIMIT)
+    too_big = (2 * GAIN_LIMIT, math.inf)
+    for k_p, k_i in [(k, 1.0) for k in too_big] + [(1.0, k) for k in too_big]:
+        with pytest.raises(ValueError, match="at most"):
+            Gains(k_p=k_p, k_i=k_i)
 
 
 def test_local_law_matches_stacked_form():
@@ -392,3 +398,18 @@ def test_step_amplification_is_the_spectral_radius_of_the_mode_steps(
         limit = largest_stable_step(eigs, h)
         assert 0.0 < limit < h
         assert step_amplification(eigs, limit) <= 1.0 < step_amplification(eigs, limit * (1 + 1e-9))
+
+
+def test_spectrum_at_the_gain_limit_stays_finite():
+    # mu is at most 2n, so no root overflows at GAIN_LIMIT and the stable-step
+    # search ends; a step too long for the spectrum reads inf, without a warning
+    mu = np.array([1e-3, 1.0, 2e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k_p, k_i in ((GAIN_LIMIT, GAIN_LIMIT), (GAIN_LIMIT, 0.0), (1.0, GAIN_LIMIT)):
+            eigs = closed_loop_spectrum(mu, Gains(k_p=k_p, k_i=k_i)).eigenvalues
+            assert np.all(np.isfinite(eigs))
+            assert step_amplification(eigs, 1e300) == math.inf
+            limit = largest_stable_step(eigs, 1e-3)
+            assert 0.0 < limit < 1e-3
+            assert step_amplification(eigs, limit) <= 1.0

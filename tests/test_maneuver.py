@@ -12,25 +12,35 @@ from bmv import (
     Configuration,
     DegenerateVector,
     DimensionMismatch,
-    ManeuverCommand,
+    FormationGraph,
     bearing_laplacian,
     check_localizable,
     combined_command,
     scale,
     target_follower_positions,
 )
-from conftest import SQUARE_POINTS, random_formation
+from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
 SQUARE = Configuration(SQUARE_POINTS)
 
 
+def _induced_scale_rate(v_l: np.ndarray) -> float:
+    """ds/dt of the unit square when its two leaders move at v_l and the
+    followers at the velocities the bearings then demand."""
+    graph = FormationGraph(n=4, d=2, edges=SQUARE_EDGES, n_leaders=2)
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, SQUARE))
+    v = np.concatenate([v_l, target_follower_positions(lap, v_l)]).reshape(4, 2)
+    offsets = SQUARE_POINTS - SQUARE_POINTS.mean(axis=0)
+    return float(np.sum(offsets * (v - v.mean(axis=0))) / (4 * scale(SQUARE)))
+
+
 def test_centroid_and_scale_of_unit_square():
     assert scale(SQUARE) == pytest.approx(math.sqrt(0.5), rel=1e-15)
     # a pure scaling pushes each leader straight out from the centroid (0.5, 0.5)
-    cmd = combined_command([0.0, 0.0], SQUARE, 4, rate=2.0)
+    v_l = combined_command([0.0, 0.0], SQUARE, 4, rate=2.0)
     np.testing.assert_allclose(
-        cmd.leader_velocity_stack().reshape(4, 2),
+        v_l.reshape(4, 2),
         2.0 * (SQUARE_POINTS - [0.5, 0.5]),
         atol=1e-15,
     )
@@ -39,42 +49,37 @@ def test_centroid_and_scale_of_unit_square():
 def test_translation_command_tiles_velocity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     stack = combined_command([0.3, -0.1], Configuration(pts), 3, rate=0.0)
-    np.testing.assert_allclose(
-        stack.leader_velocity_stack(), [0.3, -0.1, 0.3, -0.1, 0.3, -0.1]
-    )
+    np.testing.assert_allclose(stack, [0.3, -0.1, 0.3, -0.1, 0.3, -0.1])
     with pytest.raises(ValueError):
         combined_command([1.0, 0.0], Configuration(pts), 0, rate=0.0)
 
 
 def test_pure_translation_leaves_scale_alone():
-    cmd = combined_command([0.4, 0.2], SQUARE, 2, rate=0.0)
-    np.testing.assert_allclose(cmd.v_c, [0.4, 0.2])
-    assert cmd.rate == 0.0
-    assert cmd.expected_scale_rate == 0.0
-    np.testing.assert_allclose(
-        cmd.leader_velocity_stack(), [0.4, 0.2, 0.4, 0.2], atol=1e-15
-    )
+    v_l = combined_command([0.4, 0.2], SQUARE, 2, rate=0.0)
+    np.testing.assert_allclose(v_l, [0.4, 0.2, 0.4, 0.2], atol=1e-15)
+    assert _induced_scale_rate(v_l) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_scaling_command_alphas_proportional_to_radii():
     # each leader's radial speed alpha_i is rate * |p_i - c|
     rate = 0.1
-    cmd = combined_command([0.0, 0.0], SQUARE, 2, rate)
+    v_l = combined_command([0.0, 0.0], SQUARE, 2, rate)
     radii = np.linalg.norm(SQUARE_POINTS[:2] - [0.5, 0.5], axis=1)
-    speeds = np.linalg.norm(cmd.leader_velocity_stack().reshape(2, 2), axis=1)
+    speeds = np.linalg.norm(v_l.reshape(2, 2), axis=1)
     np.testing.assert_allclose(speeds, rate * radii, atol=1e-15)
     # ds/dt = rate * s for a pure dilation of the unit square
-    assert cmd.expected_scale_rate == pytest.approx(rate * math.sqrt(0.5), rel=1e-12)
+    assert _induced_scale_rate(v_l) == pytest.approx(rate * math.sqrt(0.5), rel=1e-12)
 
 
 def test_full_alpha_vector_reproduces_scale_rate_formula():
     # sgn(rate) * sqrt(mean alpha_i^2) over the radial speeds of all agents
     # equals the predicted scale rate; the two routes must agree to rounding.
     for rate in (0.13, -0.07):
-        cmd = combined_command([0.0, 0.0], SQUARE, 2, rate)
+        v_l = combined_command([0.0, 0.0], SQUARE, 2, rate)
         alphas = rate * np.linalg.norm(SQUARE_POINTS - [0.5, 0.5], axis=1)
         rms = math.copysign(math.sqrt(np.mean(alphas**2)), rate)
-        assert rms == pytest.approx(cmd.expected_scale_rate, rel=1e-12)
+        assert rms == pytest.approx(rate * scale(SQUARE), rel=1e-12)
+        assert rms == pytest.approx(_induced_scale_rate(v_l), rel=1e-12)
 
 
 def test_leader_at_centroid_rejected_for_scaling_only():
@@ -83,21 +88,18 @@ def test_leader_at_centroid_rejected_for_scaling_only():
     with pytest.raises(DegenerateVector):
         combined_command([0.0, 0.0], cfg, 1, rate=0.2)
     # a pure translation never looks at the radii
-    cmd = combined_command([1.0, 0.0], cfg, 1, rate=0.0)
-    np.testing.assert_allclose(cmd.leader_velocity_stack(), [1.0, 0.0])
+    np.testing.assert_allclose(combined_command([1.0, 0.0], cfg, 1, rate=0.0), [1.0, 0.0])
 
 
 def test_command_validation_errors():
     with pytest.raises(DimensionMismatch):
-        ManeuverCommand(v_c=np.zeros(3), rate=0.0, reference_config=SQUARE, n_leaders=2)
+        combined_command(np.zeros(3), SQUARE, 2, rate=0.0)
     with pytest.raises(ValueError):
-        ManeuverCommand(v_c=np.zeros(2), rate=0.0, reference_config=SQUARE, n_leaders=5)
+        combined_command(np.zeros(2), SQUARE, 5, rate=0.0)
     with pytest.raises(ValueError):
-        ManeuverCommand(
-            v_c=np.array([np.inf, 0.0]), rate=0.0, reference_config=SQUARE, n_leaders=2
-        )
+        combined_command(np.array([np.inf, 0.0]), SQUARE, 2, rate=0.0)
     with pytest.raises(ValueError):
-        ManeuverCommand(v_c=np.zeros(2), rate=np.nan, reference_config=SQUARE, n_leaders=2)
+        combined_command(np.zeros(2), SQUARE, 2, rate=np.nan)
     with pytest.raises(ValueError):
         combined_command([0.0, 0.0], SQUARE, 7, rate=0.1)
 
@@ -122,8 +124,7 @@ def test_combined_command_superposes(seed, n, d, leaders, v_c, rate):
     loc = check_localizable(lap)
     assume(loc.localizable and loc.min_eigenvalue > 1e-3)
     v_c = np.array(v_c[:d])
-    cmd = combined_command(v_c, ref, graph.n_leaders, rate)
-    v_l = cmd.leader_velocity_stack()
+    v_l = combined_command(v_c, ref, graph.n_leaders, rate)
     v = np.concatenate([v_l, target_follower_positions(lap, v_l)])
     expected = v_c + rate * (ref.points - ref.points.mean(axis=0))
     bound = 1e-8 * (1.0 + float(np.linalg.norm(v)))

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "Gains",
     "HurwitzReport",
     "LocalizabilityResult",
-    "ManeuverCommand",
     "NotLocalizable",
     "NotRigid",
     "ParseError",
