@@ -32,7 +32,7 @@ from .controller import (
     largest_stable_step,
     step_amplification,
 )
-from .errors import NotLocalizable, NotRigid, ParseError, ScheduleGap
+from .errors import NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
 from .sim import (
@@ -102,37 +102,54 @@ def _as_vector(
     return [_as_number(x, origin, f"{field}[{k}]", limit) for k, x in enumerate(value)]
 
 
+def _as_integer(value, origin: str, field: str, low: int, high: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        bound = f"from {low} to {high}" if high < math.inf else f"no smaller than {low}"
+        raise _fail(origin, field, f"expected an integer {bound}, got {value!r}")
+    return value
+
+
+def _as_list(value, origin: str, field: str, items: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise _fail(origin, field, f"expected a non-empty list of {items}")
+    return value
+
+
+def _as_object(value, origin: str, field: str, allowed, required=()) -> dict:
+    """``value`` as an object whose keys are all ``allowed`` and include every
+    ``required`` one; ``field`` is its path, empty for the whole document."""
+    if not isinstance(value, dict):
+        raise _fail(origin, field or "document", f"expected an object, got {value!r}")
+    prefix = f"{field}." if field else ""
+    for key in value:
+        if key not in allowed:
+            raise _fail(origin, f"{prefix}{key}", "unknown field")
+    for key in required:
+        if key not in value:
+            raise _fail(origin, f"{prefix}{key}", "missing")
+    return value
+
+
+# The document's fields, and those it cannot do without.
+DOCUMENT_FIELDS = ("dimension", "agents", "reference_positions", "edges", "gains", "schedule",
+                   "dt", "duration", "seed")
+REQUIRED_FIELDS = ("dimension", "agents", "reference_positions", "edges", "schedule", "duration")
+
+
 def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     """Build a Scenario from a decoded JSON document.
 
     Raises ParseError with a field path on any malformed input.
     """
-    if not isinstance(doc, dict):
-        raise _fail(origin, "document", "expected a JSON object at top level")
-    known = {
-        "dimension", "agents", "reference_positions", "edges", "gains",
-        "schedule", "dt", "duration", "seed",
-    }
-    for key in doc:
-        if key not in known:
-            raise _fail(origin, key, "unknown field")
+    doc = _as_object(doc, origin, "", DOCUMENT_FIELDS, REQUIRED_FIELDS)
+    d = _as_integer(doc["dimension"], origin, "dimension", 2, len(AXES))
 
-    if "dimension" not in doc:
-        raise _fail(origin, "dimension", "missing")
-    d = doc["dimension"]
-    if isinstance(d, bool) or not isinstance(d, int) or not 2 <= d <= len(AXES):
-        raise _fail(origin, "dimension", f"expected an integer from 2 to {len(AXES)}, got {d!r}")
-
-    agents = doc.get("agents")
-    if not isinstance(agents, list) or not agents:
-        raise _fail(origin, "agents", "expected a non-empty list")
     leaders: list[tuple[str, list[float] | None]] = []
     followers: list[tuple[str, list[float] | None]] = []
     seen_ids: set[str] = set()
-    for k, entry in enumerate(agents):
+    for k, entry in enumerate(_as_list(doc["agents"], origin, "agents", "agents")):
         where = f"agents[{k}]"
-        if not isinstance(entry, dict):
-            raise _fail(origin, where, f"expected an object, got {entry!r}")
+        entry = _as_object(entry, origin, where, ("id", "role", "initial"))
         agent_id = entry.get("id")
         if not isinstance(agent_id, str) or not agent_id:
             raise _fail(origin, f"{where}.id", f"expected a non-empty string, got {agent_id!r}")
@@ -145,36 +162,22 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         initial = entry.get("initial")
         if initial is not None:
             initial = _as_vector(initial, d, origin, f"{where}.initial", COORDINATE_LIMIT)
-        extra = set(entry) - {"id", "role", "initial"}
-        if extra:
-            raise _fail(origin, f"{where}.{extra.pop()}", "unknown field")
         (leaders if role == "leader" else followers).append((agent_id, initial))
     if not leaders:
         raise _fail(origin, "agents", "at least one leader is required")
     ordered = leaders + followers
     labels = tuple(agent_id for agent_id, _ in ordered)
-    index_of = {agent_id: k for k, (agent_id, _) in enumerate(ordered)}
+    index_of = {agent_id: k for k, agent_id in enumerate(labels)}
 
-    refs = doc.get("reference_positions")
-    if not isinstance(refs, dict):
-        raise _fail(origin, "reference_positions", "expected an object keyed by agent id")
-    for agent_id in refs:
-        if agent_id not in index_of:
-            raise _fail(origin, f"reference_positions.{agent_id}", "unknown agent id")
-    reference_rows = []
-    for agent_id in labels:
-        if agent_id not in refs:
-            raise _fail(origin, f"reference_positions.{agent_id}", "missing")
-        reference_rows.append(
-            _as_vector(refs[agent_id], d, origin, f"reference_positions.{agent_id}",
-                       COORDINATE_LIMIT)
-        )
+    refs = _as_object(doc["reference_positions"], origin, "reference_positions", index_of,
+                      labels)
+    reference_rows = [
+        _as_vector(refs[label], d, origin, f"reference_positions.{label}", COORDINATE_LIMIT)
+        for label in labels
+    ]
 
-    raw_edges = doc.get("edges")
-    if not isinstance(raw_edges, list) or not raw_edges:
-        raise _fail(origin, "edges", "expected a non-empty list of id pairs")
     edges = []
-    for k, pair in enumerate(raw_edges):
+    for k, pair in enumerate(_as_list(doc["edges"], origin, "edges", "id pairs")):
         where = f"edges[{k}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(origin, where, f"expected a pair of agent ids, got {pair!r}")
@@ -183,75 +186,48 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         except (KeyError, TypeError):
             raise _fail(origin, where, f"unknown agent id in {pair!r}") from None
 
-    gains = DEFAULT_GAINS
-    if "gains" in doc:
-        raw_gains = doc["gains"]
-        if not isinstance(raw_gains, dict) or set(raw_gains) - {"kp", "ki"}:
-            raise _fail(origin, "gains", f"expected an object with kp/ki, got {raw_gains!r}")
-        kp = _as_number(raw_gains.get("kp", DEFAULT_GAINS.k_p), origin, "gains.kp")
-        ki = _as_number(raw_gains.get("ki", DEFAULT_GAINS.k_i), origin, "gains.ki")
-        try:
-            gains = Gains(k_p=kp, k_i=ki)
-        except ValueError as exc:
-            raise _fail(origin, "gains", str(exc)) from None
+    raw_gains = _as_object(doc.get("gains", {}), origin, "gains", ("kp", "ki"))
+    kp = _as_number(raw_gains.get("kp", DEFAULT_GAINS.k_p), origin, "gains.kp")
+    ki = _as_number(raw_gains.get("ki", DEFAULT_GAINS.k_i), origin, "gains.ki")
+    try:
+        gains = Gains(k_p=kp, k_i=ki)
+    except ValueError as exc:
+        raise _fail(origin, "gains", str(exc)) from None
 
-    raw_schedule = doc.get("schedule")
-    if not isinstance(raw_schedule, list) or not raw_schedule:
-        raise _fail(origin, "schedule", "expected a non-empty list of segments")
     segments = []
-    for k, entry in enumerate(raw_schedule):
+    for k, entry in enumerate(_as_list(doc["schedule"], origin, "schedule", "segments")):
         where = f"schedule[{k}]"
-        if not isinstance(entry, dict):
-            raise _fail(origin, where, f"expected an object, got {entry!r}")
-        extra = set(entry) - {"t0", "t1", "vc", "scale_rate"}
-        if extra:
-            raise _fail(origin, f"{where}.{extra.pop()}", "unknown field")
+        entry = _as_object(entry, origin, where, ("t0", "t1", "vc", "scale_rate"))
         if "t0" not in entry or "t1" not in entry:
             raise _fail(origin, where, "t0 and t1 are required")
         t0 = _as_number(entry["t0"], origin, f"{where}.t0")
         t1 = _as_number(entry["t1"], origin, f"{where}.t1")
-        vc = entry.get("vc", [0.0] * d)
-        vc = _as_vector(vc, d, origin, f"{where}.vc")
+        vc = _as_vector(entry.get("vc", [0.0] * d), d, origin, f"{where}.vc")
         rate = _as_number(entry.get("scale_rate", 0.0), origin, f"{where}.scale_rate")
         try:
             segments.append(Segment(t_start=t0, t_end=t1, v_c=vc, scale_rate=rate))
         except ValueError as exc:
             raise _fail(origin, where, str(exc)) from None
 
-    if "duration" not in doc:
-        raise _fail(origin, "duration", "missing")
     duration = _as_number(doc["duration"], origin, "duration")
     dt = _as_number(doc.get("dt", DEFAULT_DT), origin, "dt")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise _fail(origin, "seed", f"expected a non-negative integer, got {seed!r}")
+    seed = _as_integer(doc.get("seed", 0), origin, "seed", 0)
 
-    with_initial = [entry for entry in ordered if entry[1] is not None]
-    if with_initial and len(with_initial) != len(ordered):
-        raise _fail(
-            origin, "agents",
-            "either every agent specifies 'initial' or none does",
-        )
-    initial_config = None
-    if with_initial:
-        initial_config = Configuration(np.array([pos for _, pos in ordered]))
+    initial = [pos for _, pos in ordered if pos is not None]
+    if initial and len(initial) != len(ordered):
+        raise _fail(origin, "agents", "either every agent specifies 'initial' or none does")
 
     try:
-        graph = FormationGraph(
-            n=len(ordered), d=d, edges=tuple(edges), n_leaders=len(leaders)
-        )
         scenario = Scenario(
-            graph=graph,
+            graph=FormationGraph(n=len(ordered), d=d, edges=tuple(edges), n_leaders=len(leaders)),
             reference_config=Configuration(np.array(reference_rows)),
             schedule=tuple(segments),
             duration=duration,
             gains=gains,
-            initial_config=initial_config,
+            initial_config=Configuration(np.array(initial)) if initial else None,
             dt=dt,
             seed=seed,
         )
-    except ScheduleGap:
-        raise
     except ValueError as exc:
         raise _fail(origin, "scenario", str(exc)) from None
     return LoadedScenario(scenario=scenario, labels=labels)

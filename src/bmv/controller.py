@@ -153,12 +153,6 @@ class ClosedLoop:
         x = block[:, self._columns[0]] + block[:, : W.shape[1]] @ W.T / mu
         return np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    def rate(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The state's rate of change: leaders move at v, followers run the PI law."""
-        nd = self.lap.matrix.shape[0]
-        drive = self.lap.matrix[v.size :] @ z[:nd]
-        return np.concatenate([v, -self.gains.k_p * drive - self.gains.k_i * z[nd:], drive])
-
     def change_basis(self, states: np.ndarray, modal: bool) -> None:
         """Turn rows [p_l, p_f, xi] into [p_l, q, eta] in place, or back."""
         U = self.lap.modes[1]
@@ -186,14 +180,6 @@ class ClosedLoop:
             np.multiply(table[r, 0, :count], start[0], out=out)
             for c in (1, 2, 3):
                 out += np.multiply(table[r, c, :count], start[c], out=tmp)
-
-    def advance(self, z: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-        """One RK4 step of length h from the state z."""
-        block = np.stack([z, z])
-        self.change_basis(block[:1], modal=True)
-        self.fill(block, v, h)
-        self.change_basis(block[1:], modal=False)
-        return block[1]
 
 
 def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:
@@ -256,16 +242,17 @@ def closed_loop_spectrum(mu: np.ndarray, gains: Gains) -> HurwitzReport:
 
 
 def step_amplification(eigenvalues: np.ndarray, h: float) -> float:
-    """The largest |R(h lambda)| over the decaying modes (Re lambda < -TAU_HURWITZ).
+    """The largest |R(h lambda)| over the decaying modes (Re lambda < 0).
 
     R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 is the factor by which one
     classical RK4 step of length h multiplies the mode lambda, so above 1 a
     run diverges.  It is below 1 for small steps, but rounds to exactly 1
-    once |h lambda| is below the float resolution.  Without a decaying mode
-    the value is 0.
+    once |h lambda| is below the float resolution.  A lightly damped mode
+    counts too: near the imaginary axis RK4 is stable only up to
+    |h lambda| = 2 sqrt(2).  Without a decaying mode the value is 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < -TAU_HURWITZ]
+        x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < 0.0]
         r = np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
     r[np.isnan(r)] = np.inf
     return float(r.max(initial=0.0))

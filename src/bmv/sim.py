@@ -134,6 +134,7 @@ class ResolvedSegment:
     leader_velocity: np.ndarray
     target_start: Configuration
     predicted_scale_rate: float
+    window: tuple[float, float]  # the part of [0, duration] it covers; may be empty
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ class Trajectory:
     centroid: np.ndarray
     scale: np.ndarray
     steps: int  # integrated, kept or not
-    decay: ExponentialFit | None  # of the tracking error over the last segment's steps
+    decay: ExponentialFit | None  # of the tracking error over the last integrated segment
 
     def __post_init__(self) -> None:
         for name in ("times", "positions", "xi", "bearing_error", "tracking_error",
@@ -188,25 +189,6 @@ class ExponentialFit:
     rate: float
     intercept: float
     r_squared: float
-
-
-def _validate_schedule(scenario: Scenario) -> None:
-    segments = scenario.schedule
-    cursor = 0.0
-    for seg in segments:
-        if seg.t_start > cursor + TIME_TOL:
-            raise ScheduleGap(
-                f"schedule leaves [{cursor}, {seg.t_start}] uncovered"
-            )
-        if seg.t_start < cursor - TIME_TOL:
-            raise ScheduleGap(
-                f"segments overlap near t={seg.t_start} (previous ends at {cursor})"
-            )
-        cursor = seg.t_end
-    if cursor < scenario.duration - TIME_TOL:
-        raise ScheduleGap(
-            f"schedule ends at {cursor} but the run lasts {scenario.duration}"
-        )
 
 
 def structure(scenario: Scenario) -> tuple[BearingSpec, RigidityReport, BearingLaplacian]:
@@ -248,8 +230,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             raise NotLocalizable(message)
         logger.warning("%s; continuing because force=True", message)
 
-    _validate_schedule(scenario)
-
     d = graph.d
     n_l = graph.n_leaders
     if scenario.initial_config is not None:
@@ -259,7 +239,15 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
 
     can_solve = localizability.localizable
     segments = []
+    cursor = 0.0
     for k, seg in enumerate(scenario.schedule):
+        if seg.t_start > cursor + TIME_TOL:
+            raise ScheduleGap(f"schedule leaves [{cursor}, {seg.t_start}] uncovered")
+        if seg.t_start < cursor - TIME_TOL:
+            raise ScheduleGap(f"segments overlap near t={seg.t_start} (previous ends at {cursor})")
+        cursor = seg.t_end
+        t0, t1 = max(seg.t_start, 0.0), min(seg.t_end, scenario.duration)
+        span = max(0.0, t1 - t0)
         if can_solve:
             followers = target_follower_positions(lap, leader_stack)
             target = Configuration(np.concatenate([leader_stack, followers]).reshape(-1, d))
@@ -267,7 +255,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             # Forced run on a non-localizable formation: fall back
             # to the reference shape so commands stay well defined.
             target = ref
-        span = max(0.0, min(seg.t_end, scenario.duration) - max(seg.t_start, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):  # bounded just below
             velocity = combined_command(seg.v_c, target, n_l, seg.scale_rate)
             s_start = scale(target)
@@ -289,9 +276,12 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
                 leader_velocity=velocity,
                 target_start=target,
                 predicted_scale_rate=rate,
+                window=(t0, t1),
             )
         )
         leader_stack = end
+    if cursor < scenario.duration - TIME_TOL:
+        raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
     target0 = segments[0].target_start
     if scenario.initial_config is not None:
@@ -344,28 +334,24 @@ def step(
     p = np.asarray(state[0], dtype=float).reshape(-1)
     xi = np.asarray(state[1], dtype=float).reshape(-1)
     seg = _active_segment(ctx, t)
-    z = ctx.loop.advance(np.concatenate([p, xi]), seg.leader_velocity, dt)
-    return z[: p.size], z[p.size :]
+    block = np.stack([np.concatenate([p, xi])] * 2)
+    ctx.loop.change_basis(block[:1], modal=True)
+    ctx.loop.fill(block, seg.leader_velocity, dt)
+    ctx.loop.change_basis(block[1:], modal=False)
+    return block[1, : p.size], block[1, p.size :]
 
 
-def _spans(ctx: SimContext):
-    """Yield (segment, start, end) for every segment a run integrates."""
-    duration = ctx.scenario.duration
-    for seg in ctx.segments:
-        t0 = max(seg.t_start, 0.0)
-        t1 = min(seg.t_end, duration)
-        if t1 <= t0 + TIME_TOL:
-            continue
-        yield seg, t0, t1
-        if t1 >= duration - TIME_TOL:
-            break
+def _spans(ctx: SimContext) -> list[ResolvedSegment]:
+    """The segments a run integrates: those whose window is not empty."""
+    return [seg for seg in ctx.segments if seg.window[1] > seg.window[0] + TIME_TOL]
 
 
 def _steps(ctx: SimContext):
     """Yield (segment, step size, times after each step) for every run of at
     most BLOCK_STEPS equal steps in one segment."""
     dt = ctx.scenario.dt
-    for seg, t0, t1 in _spans(ctx):
+    for seg in _spans(ctx):
+        t0, t1 = seg.window
         t, h, times = t0, dt, []
         while t < t1 - TIME_TOL:
             size = min(dt, t1 - t)
@@ -412,8 +398,10 @@ def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _decay(ctx: SimContext, times: np.ndarray, errors: np.ndarray) -> ExponentialFit | None:
-    """The tracking error's fit over the last segment's steps above 1e-13, or None."""
-    window = (times >= max(ctx.segments[-1].t_start, 0.0)) & (errors > 1e-13)
+    """The tracking error's fit over the last integrated segment's steps above
+    1e-13, or None."""
+    start = max((seg.window[0] for seg in _spans(ctx)), default=0.0)
+    window = (times >= start) & (errors > 1e-13)
     try:
         return exponential_fit(times[window], errors[window])
     except WindowTooShort:
@@ -436,7 +424,7 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     graph = ctx.graph
     nd = graph.n * graph.d
     width = nd + graph.d * graph.n_followers
-    spans = [(t1 - t0) / ctx.scenario.dt for _, t0, t1 in _spans(ctx)]
+    spans = [(seg.window[1] - seg.window[0]) / ctx.scenario.dt for seg in _spans(ctx)]
     # Each segment takes at most ceil(span / dt) steps, plus one for rounding.
     rows = sum(spans) + 2 * len(spans) + 1
     if not rows * width <= MAX_RUN_ELEMENTS:

@@ -3,7 +3,8 @@
 The finite-difference Jacobian here is the independent reference the
 analytic rigidity matrix is checked against, and the per-edge loops are the
 references for the vectorized Laplacian and rigidity-matrix assembly; keep
-them dumb on purpose.
+them dumb on purpose.  ``loop_rate`` is the closed loop's dense stacked rate,
+and ``loop_advance`` one step of the modal stepper from a stacked state.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bmv import BearingSpec, Configuration, FormationGraph, bearing_function
+from bmv import BearingSpec, ClosedLoop, Configuration, FormationGraph, bearing_function
 
 # Central differences with this step put the FD error near 1e-9 for
 # unit-scale formations, well inside the 1e-6 comparison tolerance.
@@ -67,6 +68,23 @@ def rigidity_matrix_loop(graph: FormationGraph, config: Configuration) -> np.nda
         R[rows, d * i : d * (i + 1)] = -block
         R[rows, d * j : d * (j + 1)] = block
     return R
+
+
+def loop_rate(loop: ClosedLoop, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rate of z = [p, xi]: leaders move at v, followers run the PI law
+    on the Laplacian's follower rows."""
+    nd = loop.lap.matrix.shape[0]
+    drive = loop.lap.matrix[v.size :] @ z[:nd]
+    return np.concatenate([v, -loop.gains.k_p * drive - loop.gains.k_i * z[nd:], drive])
+
+
+def loop_advance(loop: ClosedLoop, z: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of length h from the stacked state z, mode by mode."""
+    block = np.stack([z, z])
+    loop.change_basis(block[:1], modal=True)
+    loop.fill(block, v, h)
+    loop.change_basis(block[1:], modal=False)
+    return block[1]
 
 
 def random_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -38,7 +38,9 @@ from bmv import (
 )
 from bmv.cli import bundled_scenario_path, load_scenario, main as cli_main
 
-from conftest import SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, random_formation
+from conftest import (
+    SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, loop_rate, random_formation,
+)
 
 FD_TOL = 1e-6
 ANNIHILATION_TOL = 1e-10
@@ -224,7 +226,7 @@ def test_criterion_6_tracking_converges_at_predicted_rate():
         assert float(traj.tracking_error[-1]) < CONVERGENCE_TOL
         assert float(np.linalg.norm(traj.xi[-1] - xi_steady)) < CONVERGENCE_TOL
         z = np.concatenate([traj.positions[-1], traj.xi[-1]])
-        dp = ctx.loop.rate(z, v_l)[: graph.n * graph.d]
+        dp = loop_rate(ctx.loop, z, v_l)[: graph.n * graph.d]
         split = graph.d * graph.n_leaders
         vel_residual = np.linalg.norm(dp[split:] + steady_follower)
         assert float(vel_residual) < CONVERGENCE_TOL
@@ -257,7 +259,7 @@ def _settled_rates(v_c, rate):
     traj = run(ctx)
     lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
     z = np.concatenate([traj.positions[-1], traj.xi[-1]])
-    dp = ctx.loop.rate(z, v_l)[: graph.n * graph.d]
+    dp = loop_rate(ctx.loop, z, v_l)[: graph.n * graph.d]
     pts = traj.positions[-1].reshape(graph.n, graph.d)
     vel = dp.reshape(graph.n, graph.d)
     c = pts.mean(axis=0)

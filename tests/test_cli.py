@@ -130,11 +130,25 @@ def test_parse_orders_leaders_first():
         (lambda d: d["reference_positions"].update(a=[1.7e308, 0.0]), "positions.a.0.: expected a finite"),
         (lambda d: d["reference_positions"].update(b=[0.0, -1e151]), "positions.b.1.: expected a finite"),
         (lambda d: _with_initial(d)["agents"][2].update(initial=[2e150, 1.0]), "agents.2..initial.0.: expected a finite"),
+        (["a", "b"], "document: expected an object, got .'a', 'b'."),
+        (lambda d: d.pop("agents"), "agents: missing"),
+        (lambda d: d.update(agents={}), "agents: expected a non-empty list of agents"),
+        (lambda d: d.pop("reference_positions"), "reference_positions: missing"),
+        (lambda d: d.update(reference_positions=[]), "reference_positions: expected an object, got"),
+        (lambda d: d["reference_positions"].update(zz=[0.0, 0.0]), "reference_positions.zz: unknown field"),
+        (lambda d: d.pop("edges"), "edges: missing"),
+        (lambda d: d.pop("schedule"), "schedule: missing"),
+        (lambda d: d.update(gains=5), "gains: expected an object, got 5"),
+        (lambda d: d.update(gains={"kq": 1.0}), "gains.kq: unknown field"),
+        (lambda d: d.update(seed=-1), "seed: expected an integer no smaller than 0, got -1"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, fragment):
     doc = small_doc()
-    mutate(doc)
+    if callable(mutate):
+        mutate(doc)
+    else:  # a whole document in place of the valid one
+        doc = mutate
     with pytest.raises(ParseError, match=fragment):
         parse_scenario(doc)
 
@@ -402,6 +416,20 @@ def test_decimate_leaves_samples_and_decay_fit_alone(scenario_file, tmp_path):
         assert kept_times == times[:1] + times[1::7] + times[-1:]
 
 
+@pytest.mark.parametrize("split", [4.0, 5.0])
+def test_decay_fit_ignores_a_segment_the_run_never_reaches(split):
+    # the run ends at t = 4, so the fit is over the last segment it integrates
+    def decay(schedule):
+        doc = small_doc(dt=0.01, duration=4.0, schedule=schedule)
+        return run(assemble(parse_scenario(doc).scenario)).decay
+
+    alone = decay([{"t0": 0.0, "t1": 4.0, "vc": [0.1, 0.0]}])
+    assert alone is not None
+    trailing = decay([{"t0": 0.0, "t1": split, "vc": [0.1, 0.0]},
+                      {"t0": split, "t1": 9.0, "vc": [0.0, 0.3]}])
+    assert trailing == alone
+
+
 def test_run_overrides_recorded_in_summary(scenario_file, tmp_path):
     outdir = tmp_path / "out"
     main([
@@ -664,6 +692,27 @@ def test_run_refuses_gains_past_the_limit(tmp_path, gains):
     assert failed.returncode == EXIT_INPUT
     assert failed.stderr.count("\n") == 1
     assert failed.stderr.startswith(f"error: {path}: gains: k_p must be positive and at most")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_refuses_a_step_too_long_for_a_lightly_damped_mode(tmp_path, capsys):
+    # kp = 1e-12, ki = 1e10 put the modes near +-2.2e5 i with damping near
+    # 1e-12; RK4 at dt = 1e-3 would multiply them by about 1e8 a step
+    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
+    doc["gains"] = {"kp": 1e-12, "ki": 1e10}
+    path = tmp_path / "damped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["max_step_amplification"] > 1e7
+    src = Path(bmv.__file__).resolve().parents[1]
+    failed = subprocess.run(
+        [sys.executable, "-m", "bmv.cli", "run", str(path), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=30,
+    )
+    assert failed.returncode == EXIT_VALIDATION
+    assert failed.stderr.count("\n") == 1 and "Warning" not in failed.stderr
+    assert failed.stderr.startswith("error: dt = 0.001 is unstable")
+    assert failed.stderr.endswith("largest stable dt is about 1.27e-05\n")
     assert not (tmp_path / "o").exists()
 
 

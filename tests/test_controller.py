@@ -30,7 +30,7 @@ from bmv import (
 from bmv.cli import bundled_scenario_path, load_scenario
 from bmv.controller import GAIN_LIMIT, largest_stable_step, step_amplification
 from bmv.sim import structure
-from conftest import random_formation
+from conftest import loop_advance, loop_rate, random_formation
 
 # The spectrum from eigvalsh(L_ff) and the quadratic must match the general
 # eigensolve of the loop matrix this well, relative to the largest |lambda|.
@@ -68,7 +68,7 @@ def test_local_law_matches_stacked_form():
         v_l = rng.normal(size=2 * 2)
 
         loop = ClosedLoop(lap, gains, dt=0.01)
-        dz = loop.rate(np.concatenate([current.stacked, xi]), v_l)
+        dz = loop_rate(loop, np.concatenate([current.stacked, xi]), v_l)
         dp, dxi = dz[:12], dz[12:]
 
         for i in range(2, 6):
@@ -88,7 +88,7 @@ def test_stacked_dynamics_at_equilibrium(square_graph, square_config):
     spec = BearingSpec.from_configuration(square_graph, square_config)
     lap = bearing_laplacian(square_graph, spec)
     loop = ClosedLoop(lap, Gains(k_p=2.0, k_i=1.0), dt=0.01)
-    dz = loop.rate(np.concatenate([square_config.stacked, np.zeros(4)]), np.zeros(4))
+    dz = loop_rate(loop, np.concatenate([square_config.stacked, np.zeros(4)]), np.zeros(4))
     np.testing.assert_allclose(dz, np.zeros(12), atol=1e-13)
 
 
@@ -126,9 +126,9 @@ def test_closed_loop_matrix_blocks():
 
 
 def _state_matrices(loop, width, n_inputs):
-    """(A, B) of z' = A z + B v, read column by column off ClosedLoop.rate."""
-    A = np.column_stack([loop.rate(e, np.zeros(n_inputs)) for e in np.eye(width)])
-    B = np.column_stack([loop.rate(np.zeros(width), e) for e in np.eye(n_inputs)])
+    """(A, B) of z' = A z + B v, read column by column off loop_rate."""
+    A = np.column_stack([loop_rate(loop, e, np.zeros(n_inputs)) for e in np.eye(width)])
+    B = np.column_stack([loop_rate(loop, np.zeros(width), e) for e in np.eye(n_inputs)])
     return A, B
 
 
@@ -179,14 +179,14 @@ def test_propagator_is_one_rk4_step():
     v = rng.normal(size=6)
     # the tabulated step for dt, and one built for any other length
     for h in (0.05, 0.0173):
-        z = loop.advance(np.concatenate([p, xi]), v, h)
+        z = loop_advance(loop, np.concatenate([p, xi]), v, h)
         p_ref, xi_ref = _rk4_stages(lap, gains, p, xi, v, h)
         np.testing.assert_allclose(z[:18], p_ref, atol=1e-13)
         np.testing.assert_allclose(z[18:], xi_ref, atol=1e-13)
     # the step is z <- Phi z + Gamma v, Phi the degree-4 Taylor polynomial of exp(hA)
     h = 0.05
-    phi = np.column_stack([loop.advance(e, np.zeros(6), h) for e in np.eye(30)])
-    gamma = np.column_stack([loop.advance(np.zeros(30), e, h) for e in np.eye(6)])
+    phi = np.column_stack([loop_advance(loop, e, np.zeros(6), h) for e in np.eye(30)])
+    gamma = np.column_stack([loop_advance(loop, np.zeros(30), e, h) for e in np.eye(6)])
     hA = h * _state_matrices(loop, 30, 6)[0]
     taylor = sum(
         np.linalg.matrix_power(hA, k) / math.factorial(k) for k in range(5)
@@ -219,10 +219,9 @@ def test_modal_step_is_one_rk4_step(seed, n, d, leaders, k_p, k_i, h):
     xi = rng.normal(size=d * graph.n_followers)
     v = ctx.segments[0].leader_velocity
     p_ref, xi_ref = _rk4_stages(ctx.laplacian, gains, p, xi, v, h)
-    z = ctx.loop.advance(np.concatenate([p, xi]), v, h)
     p_step, xi_step = step(ctx, (p, xi), 0.0, h)
-    for got in (z, np.concatenate([p_step, xi_step])):
-        np.testing.assert_allclose(got, np.concatenate([p_ref, xi_ref]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate([p_step, xi_step]), np.concatenate([p_ref, xi_ref]),
+                               rtol=0, atol=1e-12)
 
 
 def test_effective_matrix_drops_integrator_when_ki_zero():
