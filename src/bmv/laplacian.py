@@ -129,15 +129,24 @@ def bearing_laplacian(graph: FormationGraph, spec: BearingSpec) -> BearingLaplac
     result is symmetric positive semidefinite by construction.
     """
     ensure_aligned(graph, spec)
+    L = _edge_laplacian(graph, edge_projectors(spec.vectors))
+    return BearingLaplacian(L, graph.d, graph.n_leaders, graph.n_followers)
+
+
+def _edge_laplacian(graph: FormationGraph, blocks: np.ndarray) -> np.ndarray:
+    """The (d*n, d*n) Laplacian with the (m, d, d) edge weights ``blocks``.
+
+    Edge k = (i, j) adds blocks[k] to the diagonal blocks (i, i) and (j, j)
+    and subtracts it from (i, j) and (j, i).
+    """
     d, n = graph.d, graph.n
-    P = edge_projectors(spec.vectors)
     i, j = graph.edge_array.T
     # Each edge's blocks (i, i), (j, j), (i, j), (j, i) in turn: diagonals sum in edge order.
     rows, cols = np.stack([i, j, i, j], axis=1), np.stack([i, j, j, i], axis=1)
     L = np.zeros((d * n, d * n))
     np.add.at(L.reshape(n, d, n, d), (rows.ravel(), slice(None), cols.ravel()),
-              np.stack([P, P, -P, -P], axis=1).reshape(-1, d, d))
-    return BearingLaplacian(L, d, graph.n_leaders, graph.n_followers)
+              np.stack([blocks, blocks, -blocks, -blocks], axis=1).reshape(-1, d, d))
+    return L
 
 
 def check_localizable(lap: BearingLaplacian) -> LocalizabilityResult:

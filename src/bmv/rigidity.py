@@ -4,6 +4,10 @@ The rigidity matrix is the Jacobian of the stacked bearing map with respect
 to the stacked positions.  A formation is infinitesimally bearing rigid when
 that Jacobian's null space contains nothing beyond the always-present trivial
 motions: rigid translations and uniform scaling about the centroid.
+
+The singular values come from one symmetric eigensolve of the Gram matrix
+R^T R, which is the bearing Laplacian with edge weights 1/|e|^2; the SVD of R
+itself is kept for formations too close to singular for that to be exact.
 """
 
 from __future__ import annotations
@@ -14,9 +18,16 @@ import numpy as np
 
 from .formation import (Configuration, FormationGraph, edge_bearings, edge_projectors,
                         ensure_compatible, sum_squares)
+from .laplacian import _edge_laplacian
 
 # Relative singular-value cutoff for the numerical rank.
 TAU_RANK = 1e-9
+
+# The Gram matrix's eigenvalues err by a few eps * sigma_max^2, which swamps a
+# singular value below about 1e-7 * sigma_max, far above TAU_RANK.  So they
+# stand for the singular values only when the smallest nontrivial one exceeds
+# TAU_GRAM times the largest; otherwise the SVD decides.
+TAU_GRAM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,17 +61,48 @@ def bearing_rigidity_matrix(graph: FormationGraph, config: Configuration) -> np.
     return R.reshape(d * m, d * n)
 
 
+def _gram_singular_values(graph: FormationGraph, config: Configuration) -> np.ndarray | None:
+    """The singular values of R, descending, from one eigvalsh of R^T R.
+
+    R^T R annihilates the d translations and the centred configuration.
+    Adding alpha Q Q^T, with Q their orthonormal basis and alpha twice the
+    largest absolute row sum (so at least twice the largest eigenvalue), lifts
+    those d + 1 eigenvalues above every other; the smallest d*n - d - 1 are
+    then the nontrivial sigma^2, and the trivial singular values are exact
+    zeros.  Returns None, so that the caller falls back to the SVD, unless the
+    smallest nontrivial value exceeds TAU_GRAM times the largest.
+    """
+    if not graph.m:
+        return None
+    d, n = graph.d, graph.n
+    nontrivial = d * n - d - 1
+    pts, (i, j) = config.points, graph.edge_array.T
+    dist2 = sum_squares(pts[j] - pts[i])
+    weights = edge_projectors(edge_bearings(graph, pts)) / dist2[:, None, None]
+    gram = _edge_laplacian(graph, weights)
+    centred = (pts - pts.mean(axis=0)).reshape(-1)
+    basis = np.column_stack([np.tile(np.eye(d), (n, 1)) / np.sqrt(n),
+                             centred / np.linalg.norm(centred)])
+    gram += 2.0 * np.abs(gram).sum(axis=1).max() * (basis @ basis.T)
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[nontrivial - 1 :: -1], 0.0))
+    if not sigma[-1] > TAU_GRAM * sigma[0]:
+        return None
+    sv = np.zeros(min(graph.m, n) * d)
+    sv[:nontrivial] = sigma
+    return sv
+
+
 def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityReport:
     """Numerical rank test of the rigidity matrix.
 
     Singular values below TAU_RANK times the largest do not count toward
     the rank.  Rigidity requires rank d*n - d - 1.
     """
-    R = bearing_rigidity_matrix(graph, config)
-    if R.size:
-        sv = np.linalg.svd(R, compute_uv=False)
-    else:
-        sv = np.zeros(0)
+    ensure_compatible(graph, config)
+    sv = _gram_singular_values(graph, config)
+    if sv is None:
+        R = bearing_rigidity_matrix(graph, config)
+        sv = np.linalg.svd(R, compute_uv=False) if R.size else np.zeros(0)
     if sv.size and sv[0] > 0.0:
         rank = int(np.sum(sv > TAU_RANK * sv[0]))
     else:
@@ -73,4 +115,3 @@ def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityRep
         null_space_dim=graph.d * graph.n - rank,
         singular_values=sv,
     )
-

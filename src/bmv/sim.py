@@ -244,7 +244,10 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         if seg.t_start > cursor + TIME_TOL:
             raise ScheduleGap(f"schedule leaves [{cursor}, {seg.t_start}] uncovered")
         if seg.t_start < cursor - TIME_TOL:
-            raise ScheduleGap(f"segments overlap near t={seg.t_start} (previous ends at {cursor})")
+            raise ScheduleGap(
+                f"schedule starts at {seg.t_start}, before the run" if k == 0
+                else f"segments overlap near t={seg.t_start} (previous ends at {cursor})"
+            )
         cursor = seg.t_end
         t0, t1 = max(seg.t_start, 0.0), min(seg.t_end, scenario.duration)
         span = max(0.0, t1 - t0)

@@ -476,16 +476,26 @@ def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, 
 
 def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
     # Localizability, the follower map, the spectrum and the loop's modes all
-    # come from one symmetric eigensolve of the follower block per scenario.
+    # come from one symmetric eigensolve of the follower block per scenario,
+    # and the rigidity verdict from one of the rigidity Gram matrix.
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"numpy.linalg.{name} called")
         return call
 
-    for name in ("eigvals", "eigvalsh", "solve"):
+    calls = []
+
+    def count(name):
+        solver = getattr(np.linalg, name)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        return call
+
+    for name in ("svd", "eigvals", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse(name))
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, count(name))
     path = str(bundled_scenario_path("narrow_passage_2d"))
     other = str(bundled_scenario_path("narrow_passage_3d"))
     out = tmp_path / "out"
@@ -497,7 +507,19 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
     ):
         calls.clear()
         assert main(argv) == EXIT_OK
-        assert len(calls) == scenarios, argv
+        assert sorted(calls) == ["eigh"] * scenarios + ["eigvalsh"] * scenarios, argv
+
+
+@pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
+def test_check_prints_the_same_with_the_rigidity_svd(name, monkeypatch, capsys):
+    # The verdict from the Gram matrix's eigenvalues is the one the SVD of
+    # the rigidity matrix gives, byte for byte.
+    path = str(bundled_scenario_path(name))
+    assert main(["check", path]) == EXIT_OK
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(bmv.rigidity, "_gram_singular_values", lambda graph, config: None)
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr().out == fast
 
 
 def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):

@@ -7,6 +7,8 @@ hand-computed small cases.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from bmv import (
@@ -14,8 +16,10 @@ from bmv import (
     DegenerateVector,
     FormationGraph,
     bearing_rigidity_matrix,
+    rigidity,
     rigidity_report,
 )
+from bmv.rigidity import TAU_RANK
 from conftest import SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, random_formation
 
 
@@ -118,3 +122,53 @@ def test_rank_invariant_under_rotation_translation_scale(square_graph, square_co
     report = rigidity_report(square_graph, moved)
     assert report.rank == 5
     assert report.is_infinitesimally_bearing_rigid
+
+
+def _formation(seed, n, d, edge_prob, flatten):
+    """random_formation with every coordinate but the first scaled by
+    ``flatten``: 0 puts the agents on one line, a tiny value nearly so."""
+    graph, cfg = random_formation(np.random.default_rng(seed), n, d, edge_prob=edge_prob)
+    points = cfg.points.copy()
+    points[:, 1:] *= flatten
+    return graph, Configuration(points)
+
+
+# A complete triangle 1e-7 off a line: sigma_min / sigma_max is about 1e-8,
+# past the Gram path's reach but well above the rank cutoff.
+NEARLY_COLLINEAR = dict(seed=0, n=3, d=2, edge_prob=1.0, flatten=1e-7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    d=st.integers(2, 3),
+    edge_prob=st.sampled_from([1.0, 0.3]),  # dense, or sparse and mostly not rigid
+    flatten=st.sampled_from([1.0, 0.0]),    # general position, or collinear
+)
+@example(**NEARLY_COLLINEAR)
+def test_report_matches_the_svd(seed, n, d, edge_prob, flatten):
+    graph, cfg = _formation(seed, n, d, edge_prob, flatten)
+    report = rigidity_report(graph, cfg)
+    sv = np.linalg.svd(bearing_rigidity_matrix(graph, cfg), compute_uv=False)
+    rank = int(np.sum(sv > TAU_RANK * sv[0]))
+    assert report.rank == rank
+    assert report.is_infinitesimally_bearing_rigid == (rank == d * n - d - 1)
+    assert report.singular_values.size == sv.size
+    # eigenvalues of R^T R carry an absolute error of a few eps * sigma_max^2
+    assert np.abs(report.singular_values**2 - sv**2).max() <= 1e-13 * sv[0] ** 2
+
+
+def test_nearly_collinear_formation_takes_the_svd():
+    graph, cfg = _formation(**NEARLY_COLLINEAR)
+    sv = np.linalg.svd(bearing_rigidity_matrix(graph, cfg), compute_uv=False)
+    assert 1e-9 < sv[graph.d * graph.n - graph.d - 2] / sv[0] < 1e-6
+    assert rigidity._gram_singular_values(graph, cfg) is None
+    report = rigidity_report(graph, cfg)
+    assert report.is_infinitesimally_bearing_rigid
+    assert np.array_equal(report.singular_values, sv)
+
+
+def test_trivial_singular_values_are_exact_zeros(square_graph, square_config):
+    sv = rigidity_report(square_graph, square_config).singular_values
+    assert np.all(sv[:5] > 0.0) and np.all(sv[5:] == 0.0)

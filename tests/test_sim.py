@@ -85,6 +85,9 @@ def test_schedule_must_tile_the_run():
     short = (Segment(0.0, 1.0, np.zeros(2)),)
     with pytest.raises(ScheduleGap, match="lasts"):
         assemble(_square_scenario(schedule=short))
+    early = (Segment(-1.0, 5.0, np.zeros(2)),)
+    with pytest.raises(ScheduleGap, match=r"^schedule starts at -1\.0, before the run$"):
+        assemble(_square_scenario(schedule=early))
 
 
 def test_assemble_rejects_flexible_formation():
