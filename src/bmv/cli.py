@@ -53,8 +53,7 @@ logger = logging.getLogger(__name__)
 AXES = "xyz"
 
 # The exit code of each error a scenario can cause: it could not be read or
-# parsed, or it failed validation.  Input errors are tried first, since a
-# ParseError is also a ValueError.
+# parsed, or it failed validation.  _attempt maps them.
 INPUT_ERRORS = (ParseError, OSError)
 VALIDATION_ERRORS = (NotRigid, NotLocalizable, ValueError)
 
@@ -253,9 +252,7 @@ def load_scenario(path) -> LoadedScenario:
     try:
         doc = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
     return parse_scenario(doc, origin=str(path))
@@ -282,12 +279,7 @@ def scenario_document(loaded: LoadedScenario) -> dict:
         "edges": [[labels[i], labels[j]] for i, j in scenario.graph.edges],
         "gains": {"kp": scenario.gains.k_p, "ki": scenario.gains.k_i},
         "schedule": [
-            {
-                "t0": seg.t_start,
-                "t1": seg.t_end,
-                "vc": list(seg.v_c),
-                "scale_rate": seg.scale_rate,
-            }
+            {"t0": seg.t_start, "t1": seg.t_end, "vc": list(seg.v_c), "scale_rate": seg.scale_rate}
             for seg in scenario.schedule
         ],
         "dt": scenario.dt,
@@ -327,50 +319,41 @@ def write_trajectory_csv(
 ) -> None:
     """Full-precision CSV; repr of each float guarantees exact round-trips."""
     axes = AXES[: traj.d]
-    header = ["t"]
-    header += [f"{label}_{axis}" for label in labels for axis in axes]
-    header += ["bearing_error", "tracking_error"]
-    header += [f"centroid_{axis}" for axis in axes]
-    header += ["scale"]
+    header = ["t", *(f"{label}_{axis}" for label in labels for axis in axes), "bearing_error",
+              "tracking_error", *(f"centroid_{axis}" for axis in axes), "scale"]
     _write_csv(path, header, [traj.times, traj.positions, traj.bearing_error,
                               traj.tracking_error, traj.centroid, traj.scale], decimate)
 
 
-def write_xi_csv(path: Path, traj: Trajectory, labels: tuple[str, ...]) -> None:
-    axes = AXES[: traj.d]
-    header = ["t"] + [
-        f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes
-    ]
-    _write_csv(path, header, [traj.times, traj.xi], 1)
-
-
-def _report(ctx: SimContext) -> HurwitzReport:
-    return closed_loop_spectrum(ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains)
-
-
-def _amplification(ctx: SimContext) -> float:
-    """RK4's largest factor per step of dt on a decaying mode; above 1 the run diverges."""
-    return step_amplification(_report(ctx).eigenvalues, ctx.scenario.dt)
-
-
-def _spectrum(ctx: SimContext) -> dict:
-    """Closed-loop spectrum, stability verdict and convergence horizon."""
-    report = _report(ctx)
+def _spectrum(ctx: SimContext) -> tuple[HurwitzReport, dict]:
+    """The closed-loop spectrum, and what ``bmv spectrum`` prints of it: the
+    eigenvalues, the stability verdict, the convergence horizon and RK4's
+    largest factor per step of dt (above 1 a run diverges)."""
+    report = closed_loop_spectrum(ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains)
     horizon = None
-    if report.max_real_part < 0.0 and math.isfinite(report.max_real_part):
+    if report.is_hurwitz and math.isfinite(report.max_real_part):
         horizon = 12.0 / abs(report.max_real_part)
-    return {
+    return report, {
         "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
         "max_real_part": _finite(report.max_real_part),
         "is_hurwitz": report.is_hurwitz,
         "convergence_horizon": horizon,
+        "max_step_amplification": _finite(step_amplification(report.eigenvalues,
+                                                             ctx.scenario.dt)),
     }
+
+
+def _json(doc: dict) -> str:
+    """Strict JSON: a non-finite float raises ValueError rather than being written."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
     scenario = ctx.scenario
     graph = scenario.graph
     loc = ctx.laplacian.localizability
+    spectrum = _spectrum(ctx)[1]
+    amplification = spectrum.pop("max_step_amplification")
     fit = None if traj.decay is None else {"rate": traj.decay.rate,
                                            "r_squared": traj.decay.r_squared}
     return {
@@ -387,7 +370,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "duration": scenario.duration,
             "seed": scenario.seed,
             "samples": traj.steps + 1,
-            "max_step_amplification": _amplification(ctx),
+            "max_step_amplification": amplification,
         },
         "rigidity": {
             "rank": ctx.rigidity.rank,
@@ -400,7 +383,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
             "localizable": loc.localizable,
             "lambda_min_ff": _finite(loc.min_eigenvalue),
         },
-        "spectrum": _spectrum(ctx),
+        "spectrum": spectrum,
         "final": {
             "time": float(traj.times[-1]),
             "bearing_error": _finite(traj.bearing_error[-1]),
@@ -422,31 +405,26 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
     }
 
 
-def write_bundle(
-    outdir: Path,
-    ctx: SimContext,
-    traj: Trajectory,
-    labels: tuple[str, ...],
-    dump_xi: bool = False,
-) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
-    summary = build_summary(ctx, traj)
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    if dump_xi:
-        write_xi_csv(outdir / "xi.csv", traj, labels)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def _apply_overrides(loaded: LoadedScenario, args) -> LoadedScenario:
-    updates = {key: getattr(args, key) for key in ("dt", "seed")}
-    updates = {key: value for key, value in updates.items() if value is not None}
+def _context(path, args) -> tuple[SimContext, tuple[str, ...]]:
+    """Load a scenario, apply the --dt and --seed overrides, and assemble it."""
+    loaded = load_scenario(path)
+    updates = {key: getattr(args, key) for key in ("dt", "seed") if getattr(args, key) is not None}
     scenario = dataclasses.replace(loaded.scenario, **updates)
-    return LoadedScenario(scenario=scenario, labels=loaded.labels)
+    return assemble(scenario, force=args.force), loaded.labels
+
+
+def _attempt(func, *args) -> tuple[int, object]:
+    """(EXIT_OK, what func returns), or the exit code and message of a scenario's
+    error; input errors come first, since a ParseError is also a ValueError."""
+    try:
+        return EXIT_OK, func(*args)
+    except INPUT_ERRORS as exc:
+        return EXIT_INPUT, str(exc)
+    except VALIDATION_ERRORS as exc:
+        return EXIT_VALIDATION, str(exc)
 
 
 def cmd_check(args) -> int:
@@ -466,23 +444,31 @@ def cmd_check(args) -> int:
 
 
 def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
-    """Load, check and integrate one scenario, and write its bundle.
+    """Load, check and integrate one scenario, and write its bundle:
+    trajectory.csv, summary.json and, with ``dump_xi``, xi.csv.
 
     Raises ValueError before integrating when RK4 at the scenario's dt
-    would amplify a decaying mode.
+    would amplify a mode.
     """
-    loaded = _apply_overrides(load_scenario(path), args)
-    ctx = assemble(loaded.scenario, force=args.force)
-    amplification = _amplification(ctx)
-    if amplification > 1.0:
+    ctx, labels = _context(path, args)
+    report, spectrum = _spectrum(ctx)
+    amplification = spectrum["max_step_amplification"]
+    if amplification is None or amplification > 1.0:
         dt = ctx.scenario.dt
-        limit = largest_stable_step(_report(ctx).eigenvalues, dt)
         raise ValueError(
-            f"dt = {dt:g} is unstable: one RK4 step multiplies a decaying mode by "
-            f"up to {amplification:.4g}; the largest stable dt is about {limit:.4g}"
+            f"dt = {dt:g} is unstable: one RK4 step multiplies a mode by up to "
+            f"{amplification or math.inf:.4g}; the largest stable dt is about "
+            f"{largest_stable_step(report.eigenvalues, dt):.4g}"
         )
     traj = run(ctx, args.decimate)
-    write_bundle(outdir, ctx, traj, loaded.labels, dump_xi=dump_xi)
+    summary = _json(build_summary(ctx, traj))
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
+    (outdir / "summary.json").write_text(summary + "\n")
+    if dump_xi:
+        axes = AXES[: traj.d]
+        header = ["t"] + [f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes]
+        _write_csv(outdir / "xi.csv", header, [traj.times, traj.xi], 1)
     return traj
 
 
@@ -496,27 +482,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    loaded = _apply_overrides(load_scenario(args.scenario), args)
-    ctx = assemble(loaded.scenario, force=args.force)
-    doc = {**_spectrum(ctx), "max_step_amplification": _finite(_amplification(ctx))}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    ctx, _ = _context(args.scenario, args)
+    print(_json(_spectrum(ctx)[1]))
     return EXIT_OK
 
 
 def _batch_one(task) -> tuple[str, int, str]:
     """Run one scenario in a worker; returns (name, exit code, message)."""
     path, outdir, args = task
-    try:
-        traj = _run_bundle(path, Path(outdir), args)
-        return (
-            str(path),
-            EXIT_OK,
-            f"bearing_error={traj.bearing_error[-1]:.3e}",
-        )
-    except INPUT_ERRORS as exc:
-        return str(path), EXIT_INPUT, str(exc)
-    except VALIDATION_ERRORS as exc:
-        return str(path), EXIT_VALIDATION, str(exc)
+    code, result = _attempt(_run_bundle, path, Path(outdir), args)
+    if code == EXIT_OK:
+        result = f"bearing_error={result.bearing_error[-1]:.3e}"
+    return str(path), code, result
 
 
 def cmd_batch(args) -> int:
@@ -524,8 +501,7 @@ def cmd_batch(args) -> int:
     tasks = []
     names = set()
     for raw in args.scenarios:
-        stem = Path(raw).stem
-        name = stem
+        stem = name = Path(raw).stem
         k = 1
         while name in names:
             k += 1
@@ -615,21 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("BMV_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    level = getattr(logging, os.environ.get("BMV_LOG", "WARNING").upper(), logging.WARNING)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
+    code, result = _attempt(args.func, args)
+    if code != EXIT_OK:
+        print(f"error: {result}", file=sys.stderr)
+        return code
+    return result
 
 
 def script_main() -> None:

@@ -242,17 +242,20 @@ def closed_loop_spectrum(mu: np.ndarray, gains: Gains) -> HurwitzReport:
 
 
 def step_amplification(eigenvalues: np.ndarray, h: float) -> float:
-    """The largest |R(h lambda)| over the decaying modes (Re lambda < 0).
+    """The largest |R(h lambda)| over the modes lambda != 0 with Re lambda <= 0.
 
     R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 is the factor by which one
     classical RK4 step of length h multiplies the mode lambda, so above 1 a
-    run diverges.  It is below 1 for small steps, but rounds to exactly 1
-    once |h lambda| is below the float resolution.  A lightly damped mode
-    counts too: near the imaginary axis RK4 is stable only up to
-    |h lambda| = 2 sqrt(2).  Without a decaying mode the value is 0.
+    run diverges; it rounds to 1 once |h lambda| is below the float
+    resolution.  Every such mode counts, however lightly damped: on and near
+    the imaginary axis RK4 is stable only up to |h lambda| = 2 sqrt(2).  A
+    mode of exactly 0 (R = 1), or one that grows in the exact flow too, as
+    from a rounding-negative mu in a forced run, is left out; with no mode
+    left the value is 0.
     """
+    eigs = np.asarray(eigenvalues)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = h * np.asarray(eigenvalues)[np.real(eigenvalues) < 0.0]
+        x = h * eigs[(eigs != 0.0) & (eigs.real <= 0.0)]
         r = np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
     r[np.isnan(r)] = np.inf
     return float(r.max(initial=0.0))

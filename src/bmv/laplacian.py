@@ -56,10 +56,6 @@ class BearingLaplacian:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def n(self) -> int:
-        return self.n_leaders + self.n_followers
-
-    @property
     def _split(self) -> int:
         return self.d * self.n_leaders
 

@@ -16,7 +16,6 @@ bit.  The tracking error is read at every step, the other metrics afterwards.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,14 +317,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     )
 
 
-def _active_segment(ctx: SimContext, t: float) -> ResolvedSegment:
-    starts = [seg.t_start for seg in ctx.segments]
-    idx = bisect_right(starts, t + TIME_TOL) - 1
-    if idx < 0 or t > ctx.segments[-1].t_end + TIME_TOL:
-        raise ValueError(f"t={t} lies outside the schedule")
-    return ctx.segments[idx]
-
-
 def step(
     ctx: SimContext, state: tuple[np.ndarray, np.ndarray], t: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +327,10 @@ def step(
     """
     p = np.asarray(state[0], dtype=float).reshape(-1)
     xi = np.asarray(state[1], dtype=float).reshape(-1)
-    seg = _active_segment(ctx, t)
+    started = [seg for seg in ctx.segments if seg.t_start <= t + TIME_TOL]
+    if not started or t > ctx.segments[-1].t_end + TIME_TOL:
+        raise ValueError(f"t={t} lies outside the schedule")
+    seg = started[-1]
     block = np.stack([np.concatenate([p, xi])] * 2)
     ctx.loop.change_basis(block[:1], modal=True)
     ctx.loop.fill(block, seg.leader_velocity, dt)

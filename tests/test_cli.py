@@ -1,12 +1,16 @@
 """Scenario parsing, result bundles, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 import bmv
 import bmv.cli
-from bmv import ParseError, assemble, run
+from bmv import HurwitzReport, ParseError, assemble, closed_loop_spectrum, run
 from bmv.cli import (
     COORDINATE_LIMIT,
     ECHO_LIMIT,
@@ -30,6 +34,7 @@ from bmv.cli import (
     parse_scenario,
     scenario_document,
 )
+from bmv.controller import GAIN_LIMIT
 
 
 def small_doc(**overrides):
@@ -510,6 +515,22 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
         assert sorted(calls) == ["eigh"] * scenarios + ["eigvalsh"] * scenarios, argv
 
 
+def test_run_builds_the_spectrum_twice_and_spectrum_once(tmp_path, monkeypatch):
+    # run: once to check the step, once for the summary
+    calls = []
+
+    def counted(mu, gains):
+        calls.append(gains)
+        return closed_loop_spectrum(mu, gains)
+
+    monkeypatch.setattr(bmv.cli, "closed_loop_spectrum", counted)
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--decimate", "100"]) == EXIT_OK
+    assert len(calls) == 2
+    assert main(["spectrum", path]) == EXIT_OK
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
 def test_check_prints_the_same_with_the_rigidity_svd(name, monkeypatch, capsys):
     # The verdict from the Gram matrix's eigenvalues is the one the SVD of
@@ -752,6 +773,121 @@ def test_spectrum_reports_the_step_amplification(dt, stable, capsys):
         assert amplification is None
     else:
         assert (amplification < 1.0) == stable
+
+
+def bundle_doc(**overrides):
+    """The 2-D bundle's document with top-level fields replaced."""
+    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
+    doc.update(overrides)
+    return doc
+
+
+# Gains that round the real part of every closed-loop eigenvalue to 0 (kp
+# subnormal, so -kp mu / 2 underflows), and that put it at -5e-324.
+UNDAMPED = bundle_doc(gains={"kp": 5e-324, "ki": 1e4}, dt=0.1, duration=5.0,
+                      schedule=[{"t0": 0.0, "t1": 5.0}])
+BARELY_STABLE = [bundle_doc(gains={"kp": 1.0, "ki": 5e-324}),
+                 bundle_doc(gains={"kp": 5e-324, "ki": 0.0})]
+
+
+def test_run_refuses_a_step_too_long_for_an_undamped_mode(tmp_path, capsys):
+    # the modes sit near +-222i: RK4 at dt = 0.1 multiplies them by 1e4 a step
+    path = tmp_path / "undamped.json"
+    path.write_text(json.dumps(UNDAMPED))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", str(path)]) == EXIT_OK
+        spectrum = json.loads(capsys.readouterr().out)
+        assert spectrum["max_real_part"] == 0.0 and spectrum["max_step_amplification"] > 1e3
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: dt = 0.1 is unstable")
+    assert err.endswith("largest stable dt is about 0.0127\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", BARELY_STABLE, ids=["ki", "kp"])
+def test_spectrum_gives_no_horizon_unless_the_loop_is_hurwitz(tmp_path, capsys, doc):
+    # 12 / 5e-324 would overflow to Infinity
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path)]) == EXIT_OK
+    spectrum = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert spectrum["is_hurwitz"] is False
+    assert spectrum["convergence_horizon"] is None
+
+
+def test_a_non_finite_value_ends_in_one_line_not_invalid_json(scenario_file, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(bmv.cli, "scale", lambda config: math.inf)
+    assert main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    stuck = HurwitzReport(False, 0.0, np.array([complex(math.nan, 1.0)]))
+    monkeypatch.setattr(bmv.cli, "closed_loop_spectrum", lambda mu, gains: stuck)
+    assert main(["spectrum", str(scenario_file)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+
+
+# Gains log-uniform from the smallest subnormal to GAIN_LIMIT.
+GAINS = st.floats(-323.3, math.log10(GAIN_LIMIT)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def cli_calls(draw):
+    """``run`` or ``spectrum`` on the unit square, drawn at any size, gains,
+    dt and leader motion, over a run of at most a few hundred steps."""
+    size = 10.0 ** draw(st.floats(-100.0, math.log10(COORDINATE_LIMIT)))
+    dt = 10.0 ** draw(st.floats(-6.0, 0.0))
+    duration = dt * draw(st.floats(0.5, 300.0))
+    doc = small_doc(
+        reference_positions={k: [size * x for x in p]
+                             for k, p in small_doc()["reference_positions"].items()},
+        gains={"kp": draw(GAINS), "ki": draw(st.just(0.0) | GAINS)},
+        schedule=[{"t0": 0.0, "t1": duration,
+                   "vc": [size * draw(st.floats(-10.0, 10.0)) for _ in range(2)],
+                   "scale_rate": draw(st.floats(-1.0, 1.0))}],
+        dt=dt, duration=duration,
+    )
+    if draw(st.booleans()):
+        return doc, ["spectrum"]
+    return doc, ["run", "--dump-xi", "--decimate", str(draw(st.integers(1, 5)))]
+
+
+def _finite_csv(path):
+    rows = path.read_text().splitlines()[1:]
+    return np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=cli_calls())
+@example(call=(UNDAMPED, ["run", "--dump-xi"]))
+@example(call=(BARELY_STABLE[0], ["spectrum"]))
+@example(call=(BARELY_STABLE[1], ["spectrum"]))
+def test_every_input_ends_in_a_bundle_or_one_line(call):
+    # exit 0 with finite CSV columns and strict JSON, or exit 1 or 2 with
+    # exactly one line on stderr; never a warning and never a traceback
+    doc, (command, *flags) = call
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        if command == "run":
+            flags += ["--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, str(path), *flags])
+        if code != EXIT_OK:
+            assert code in (EXIT_VALIDATION, EXIT_INPUT)
+            assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith("error: ")
+            return
+        assert stderr.getvalue() == ""
+        if command == "spectrum":
+            json.loads(stdout.getvalue(), parse_constant=_no_constant)
+            return
+        json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+        assert _finite_csv(out / "trajectory.csv") and _finite_csv(out / "xi.csv")
 
 
 def test_batch_deduplicates_output_names(tmp_path):

@@ -399,6 +399,23 @@ def test_step_amplification_is_the_spectral_radius_of_the_mode_steps(
         assert step_amplification(eigs, limit) <= 1.0 < step_amplification(eigs, limit * (1 + 1e-9))
 
 
+def test_step_amplification_counts_modes_on_the_imaginary_axis():
+    # |R(iy)|^2 = 1 - y^6/72 + y^8/576, so RK4 holds an undamped mode only
+    # up to |h lambda| = 2 sqrt(2); a mode of exactly 0 has R = 1 and is left out
+    limit = 2.0 * math.sqrt(2.0)
+    eigs = np.array([0.0, 1j, -1j])
+    assert step_amplification(eigs, 0.99 * limit) < 1.0 < step_amplification(eigs, 1.01 * limit)
+    assert step_amplification(np.zeros(2, dtype=complex), 1e300) == 0.0
+    # a subnormal k_p rounds the real part -k_p mu / 2 of each pair to exactly 0
+    eigs = closed_loop_spectrum(np.array([1.0, 4.0]), Gains(k_p=5e-324, k_i=1e4)).eigenvalues
+    assert np.all(eigs.real == 0.0) and np.abs(eigs).max() == 200.0
+    assert step_amplification(eigs, 0.1) > 1e3
+    assert largest_stable_step(eigs, 0.1) == pytest.approx(limit / 200.0, rel=1e-9)
+    # a rounding-negative mu of a singular L_ff grows in the exact flow too
+    eigs = closed_loop_spectrum(np.array([-2.2e-16, 1.0]), Gains(k_p=2000.0, k_i=0.0)).eigenvalues
+    assert eigs.real.max() > 0.0 and step_amplification(eigs, 1e-3) == pytest.approx(1.0 / 3.0)
+
+
 def test_spectrum_at_the_gain_limit_stays_finite():
     # mu is at most 2n, so no root overflows at GAIN_LIMIT and the stable-step
     # search ends; a step too long for the spectrum reads inf, without a warning
