@@ -348,11 +348,13 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
-def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
+def build_summary(ctx: SimContext, traj: Trajectory, spectrum: dict | None = None) -> dict:
+    """The summary.json document; ``spectrum`` is the report of ``_spectrum(ctx)``,
+    built here when not given."""
     scenario = ctx.scenario
     graph = scenario.graph
     loc = ctx.laplacian.localizability
-    spectrum = _spectrum(ctx)[1]
+    spectrum = dict(_spectrum(ctx)[1] if spectrum is None else spectrum)
     amplification = spectrum.pop("max_step_amplification")
     fit = None if traj.decay is None else {"rate": traj.decay.rate,
                                            "r_squared": traj.decay.r_squared}
@@ -461,7 +463,7 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
             f"{largest_stable_step(report.eigenvalues, dt):.4g}"
         )
     traj = run(ctx, args.decimate)
-    summary = _json(build_summary(ctx, traj))
+    summary = _json(build_summary(ctx, traj, spectrum))
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
     (outdir / "summary.json").write_text(summary + "\n")
@@ -602,7 +604,17 @@ def main(argv=None) -> int:
 
 
 def script_main() -> None:
-    sys.exit(main())
+    """The ``bmv`` console script: ``main``, then flush stdout and stderr and end
+    the process without interpreter teardown.  Every output file is closed by
+    then and the log handler flushes each record; a failed flush of stdout is
+    an input error like any other OSError of a command."""
+    code = main()
+    flushed, message = _attempt(sys.stdout.flush)
+    if flushed != EXIT_OK:
+        print(f"error: {message}", file=sys.stderr)
+        code = flushed
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

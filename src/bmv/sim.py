@@ -49,7 +49,8 @@ DEFAULT_GAINS = Gains(k_p=1.0, k_i=0.5)
 # when no initial configuration is given.
 PERTURBATION_FRACTION = 0.1
 
-# Commanded shrinking may not take the target scale below this.
+# Commanded shrinking may not take the target scale below this fraction of
+# the reference formation's scale.
 SCALE_FLOOR = 1e-3
 
 # Largest coordinate magnitude a scenario may give or its leaders reach.  Squared
@@ -237,6 +238,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         leader_stack = ref.points[:n_l].reshape(-1).copy()
 
     can_solve = localizability.localizable
+    floor = SCALE_FLOOR * scale(ref)
     segments = []
     cursor = 0.0
     for k, seg in enumerate(scenario.schedule):
@@ -265,10 +267,10 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             end = leader_stack + velocity * span
         if not np.all(np.abs(end) <= COORDINATE_LIMIT):
             raise ValueError(f"schedule[{k}] would carry the leaders beyond {COORDINATE_LIMIT:g}")
-        if min(s_start, s_end) < SCALE_FLOOR:
+        if min(s_start, s_end) < floor:
             raise ValueError(
                 f"segment [{seg.t_start}, {seg.t_end}] would shrink the target "
-                f"scale to {min(s_start, s_end):.3e}, below the floor {SCALE_FLOOR}"
+                f"scale to {min(s_start, s_end):.3e}, below the floor {floor:.3e}"
             )
         segments.append(
             ResolvedSegment(

@@ -447,6 +447,24 @@ def test_run_overrides_recorded_in_summary(scenario_file, tmp_path):
     assert summary["integration"]["samples"] == 101
 
 
+def test_a_tiny_formation_runs_as_the_unit_square_scaled(tmp_path):
+    # the scale floor is relative to the reference formation, like its bearings
+    a = 1e-5
+    still = [{"t0": 0.0, "t1": 5.0, "vc": [0.0, 0.0], "scale_rate": 0.0}]
+    tiny = small_doc(schedule=still, reference_positions={
+        k: [a * x for x in p] for k, p in small_doc()["reference_positions"].items()})
+    tables = []
+    for name, doc in (("unit", small_doc(schedule=still)), ("tiny", tiny)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+        tables.append(np.loadtxt(tmp_path / name / "trajectory.csv", delimiter=",",
+                                 skiprows=1))
+    base, moved = tables
+    np.testing.assert_array_equal(moved[:, 0], base[:, 0])
+    np.testing.assert_allclose(moved[:, 1:9], a * base[:, 1:9], rtol=0, atol=1e-10 * (a + 1.0))
+
+
 def test_run_refuses_flexible_without_force(tmp_path, capsys):
     doc = small_doc(edges=[["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = tmp_path / "floppy.json"
@@ -515,8 +533,8 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
         assert sorted(calls) == ["eigh"] * scenarios + ["eigvalsh"] * scenarios, argv
 
 
-def test_run_builds_the_spectrum_twice_and_spectrum_once(tmp_path, monkeypatch):
-    # run: once to check the step, once for the summary
+def test_run_and_spectrum_build_the_spectrum_once(tmp_path, monkeypatch):
+    # run checks the step and writes the summary from the same report
     calls = []
 
     def counted(mu, gains):
@@ -526,9 +544,9 @@ def test_run_builds_the_spectrum_twice_and_spectrum_once(tmp_path, monkeypatch):
     monkeypatch.setattr(bmv.cli, "closed_loop_spectrum", counted)
     path = str(bundled_scenario_path("narrow_passage_2d"))
     assert main(["run", path, "--out", str(tmp_path / "out"), "--decimate", "100"]) == EXIT_OK
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert main(["spectrum", path]) == EXIT_OK
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
@@ -933,6 +951,63 @@ def test_negative_seed_override_is_an_input_error(scenario_file, capsys, command
         main([command, str(scenario_file), "--seed", "-1"])
     assert exc.value.code == EXIT_INPUT
     assert "--seed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the console script, which ends its process and so runs in a subprocess
+
+def _console(*args, stdout=subprocess.PIPE):
+    """Run the ``bmv`` console script: (exit code, stdout bytes, stderr text).
+    Without PYTHONUNBUFFERED and the like, stdout is block-buffered on a pipe,
+    as in a shell pipeline, so the output is written by the final flush."""
+    src = Path(bmv.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    entry = "import sys; from bmv.cli import script_main; sys.argv[0] = 'bmv'; script_main()"
+    done = subprocess.run([sys.executable, "-c", entry, *map(str, args)], stdout=stdout,
+                          stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src)},
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_console_stdout_matches_main(command, capsys):
+    path = bundled_scenario_path("narrow_passage_3d")
+    assert main([command, str(path)]) == EXIT_OK
+    assert _console(command, path) == (EXIT_OK, capsys.readouterr().out.encode(), "")
+
+
+def test_console_run_writes_the_same_bundle(scenario_file, tmp_path):
+    code = main(["run", str(scenario_file), "--out", str(tmp_path / "main"), "--dump-xi"])
+    assert code == EXIT_OK
+    code, _, err = _console("run", scenario_file, "--out", tmp_path / "script", "--dump-xi")
+    assert (code, err) == (EXIT_OK, "")
+    for name in ("trajectory.csv", "xi.csv", "summary.json"):
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_console_errors_end_in_one_line(tmp_path):
+    floppy = tmp_path / "floppy.json"
+    cycle = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
+    floppy.write_text(json.dumps(small_doc(edges=cycle)))
+    for args, expected in (
+        (["run", floppy, "--out", tmp_path / "o"], EXIT_VALIDATION),
+        (["check", tmp_path / "nope.json"], EXIT_INPUT),
+    ):
+        code, _, err = _console(*args)
+        assert code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_console_output_to_a_closed_pipe_is_an_input_error(scenario_file):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = _console("check", scenario_file, stdout=write)
+    finally:
+        os.close(write)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_out():
