@@ -13,8 +13,6 @@ Set BMV_LOG=DEBUG (or INFO, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import dataclasses
 import json
 import logging
 import math
@@ -22,6 +20,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +64,7 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
 
-@dataclasses.dataclass(frozen=True)
-class LoadedScenario:
+class LoadedScenario(NamedTuple):
     """A scenario plus the agent labels it was written with."""
 
     scenario: Scenario
@@ -413,8 +411,11 @@ def build_summary(ctx: SimContext, traj: Trajectory, spectrum: dict | None = Non
 def _context(path, args) -> tuple[SimContext, tuple[str, ...]]:
     """Load a scenario, apply the --dt and --seed overrides, and assemble it."""
     loaded = load_scenario(path)
-    updates = {key: getattr(args, key) for key in ("dt", "seed") if getattr(args, key) is not None}
-    scenario = dataclasses.replace(loaded.scenario, **updates)
+    base = loaded.scenario
+    scenario = Scenario(base.graph, base.reference_config, base.schedule, base.duration,
+                        base.gains, base.initial_config,
+                        base.dt if args.dt is None else args.dt,
+                        base.seed if args.seed is None else args.seed)
     return assemble(scenario, force=args.force), loaded.labels
 
 
@@ -512,6 +513,8 @@ def cmd_batch(args) -> int:
         tasks.append((raw, str(out_root / name), args))
     workers = min(args.workers, len(tasks))
     if workers > 1:
+        import concurrent.futures  # only here: every other command starts without it
+
         # The pool forks all its workers at the first submit, so never ask
         # for more than there are tasks.
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,6 @@ identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -28,7 +27,6 @@ TAU_HURWITZ = 1e-10
 GAIN_LIMIT = 1e100
 
 
-@dataclass(frozen=True)
 class Gains:
     """Proportional and integral gains.
 
@@ -37,15 +35,13 @@ class Gains:
     GAIN_LIMIT.
     """
 
-    k_p: float
-    k_i: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.k_p <= GAIN_LIMIT:
-            raise ValueError(f"k_p must be positive and at most {GAIN_LIMIT:g}, got {self.k_p!r}")
-        if not 0.0 <= self.k_i <= GAIN_LIMIT:
+    def __init__(self, k_p: float, k_i: float) -> None:
+        if not 0.0 < k_p <= GAIN_LIMIT:
+            raise ValueError(f"k_p must be positive and at most {GAIN_LIMIT:g}, got {k_p!r}")
+        if not 0.0 <= k_i <= GAIN_LIMIT:
             raise ValueError(f"k_i must be non-negative and at most {GAIN_LIMIT:g}, "
-                             f"got {self.k_i!r}")
+                             f"got {k_i!r}")
+        self.k_p, self.k_i = k_p, k_i
 
 
 class HurwitzReport(NamedTuple):
@@ -101,7 +97,6 @@ BLOCK_STEPS = 128
 CHUNK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
 class ClosedLoop:
     """The PI closed loop on z = [p, xi] (leaders first), stepped mode by mode.
 
@@ -112,9 +107,8 @@ class ClosedLoop:
     One classical RK4 step of length h is then one 4x4 matrix K(h) per mode.
     """
 
-    lap: BearingLaplacian = field(repr=False)
-    gains: Gains
-    dt: float
+    def __init__(self, lap: BearingLaplacian, gains: Gains, dt: float) -> None:
+        self.lap, self.gains, self.dt = lap, gains, dt
 
     @property
     def _columns(self) -> tuple[slice, slice]:

@@ -4,26 +4,29 @@ A formation is an interaction graph plus a configuration of agent positions.
 The quantities everything else is built from live here: unit bearing vectors
 along edges and the stacked bearing map of a whole formation.
 
-All types are immutable; operations are pure functions on them.
+Arrays held by these types are read-only and every attribute is set once,
+in ``__init__``; operations are pure functions on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateVector, DimensionMismatch, UnknownNeighbor
 
-# Below this separation two agents count as collocated and bearings are undefined.
+# Two agents closer than this fraction of the longest edge of their formation
+# count as collocated, and their bearing is undefined.
 EPS_DEGENERATE = 1e-12
+
+# At any scale, an edge no longer than this is collocated: 1/|e|^2 stays finite.
+COLLOCATION_FLOOR = 1e-150
 
 # Maximum deviation from unit length tolerated in a desired bearing.
 UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class FormationGraph:
     """Undirected interaction graph with a leader/follower split.
 
@@ -33,37 +36,28 @@ class FormationGraph:
     deterministic regardless of how the edges were written down.
     """
 
-    n: int
-    d: int
-    edges: tuple[tuple[int, int], ...]
-    n_leaders: int
-
-    def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"need at least 2 agents, got n={self.n}")
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got d={self.d}")
-        if not 1 <= self.n_leaders <= self.n:
-            raise ValueError(
-                f"leader count must lie in 1..{self.n}, got {self.n_leaders}"
-            )
+    def __init__(self, n: int, d: int, edges, n_leaders: int) -> None:
+        if int(n) != n or n < 2:
+            raise ValueError(f"need at least 2 agents, got n={n}")
+        if int(d) != d or d < 2:
+            raise ValueError(f"ambient dimension must be >= 2, got d={d}")
+        if not 1 <= n_leaders <= n:
+            raise ValueError(f"leader count must lie in 1..{n}, got {n_leaders}")
         normalized = []
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             i, j = int(edge[0]), int(edge[1])
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) references a missing vertex")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
             normalized.append(key)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "n_leaders", int(self.n_leaders))
-        object.__setattr__(self, "edges", tuple(normalized))
+        self.n, self.d, self.n_leaders = int(n), int(d), int(n_leaders)
+        self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
 
     @property
     def m(self) -> int:
@@ -108,14 +102,11 @@ class FormationGraph:
             raise UnknownNeighbor(f"no edge between agents {i} and {j}") from None
 
 
-@dataclass(frozen=True)
 class Configuration:
     """Agent positions; row i of ``points`` is the position of agent i."""
 
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, points) -> None:
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DimensionMismatch(
                 f"positions must form an (n, d) array, got shape {pts.shape}"
@@ -123,7 +114,7 @@ class Configuration:
         if not np.all(np.isfinite(pts)):
             raise ValueError("positions contain non-finite entries")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        self.points = pts
 
     @classmethod
     def from_stacked(cls, stacked, d: int) -> "Configuration":
@@ -148,18 +139,15 @@ class Configuration:
         return self.points.reshape(-1)
 
 
-@dataclass(frozen=True)
 class BearingSpec:
     """Desired unit bearing per edge, aligned with a graph's edge order.
 
-    Row k is the target bearing of edge k, pointing from the edge's tail
-    (smaller agent index) to its head.
+    Row k of ``vectors`` is the target bearing of edge k, pointing from the
+    edge's tail (smaller agent index) to its head.
     """
 
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        vecs = np.array(self.vectors, dtype=float)
+    def __init__(self, vectors) -> None:
+        vecs = np.array(vectors, dtype=float)
         if vecs.ndim != 2:
             raise DimensionMismatch(
                 f"bearings must form an (m, d) array, got shape {vecs.shape}"
@@ -173,7 +161,7 @@ class BearingSpec:
                 f"bearing {bad[0]} has length {lengths[bad[0]]!r}, expected unit"
             )
         vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
+        self.vectors = vecs
 
     @classmethod
     def from_configuration(cls, graph: FormationGraph, config: Configuration) -> "BearingSpec":
@@ -234,12 +222,16 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
 def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     """Bearings (..., m, d) of every edge for positions shaped (..., n, d).
 
-    Raises DegenerateVector naming the first collocated edge found.
+    Raises DegenerateVector naming the first collocated edge found: one no
+    longer than EPS_DEGENERATE times the longest edge of its formation, or
+    than COLLOCATION_FLOOR.  So the verdict, like the bearings, does not
+    change when a formation is moved or rescaled.
     """
     ends = graph.edge_array
     diffs = points[..., ends[:, 1], :] - points[..., ends[:, 0], :]
     norms = np.sqrt(sum_squares(diffs))
-    short = np.argwhere(norms <= EPS_DEGENERATE)
+    longest = norms.max(axis=-1, keepdims=True, initial=0.0)
+    short = np.argwhere(norms <= np.maximum(EPS_DEGENERATE * longest, COLLOCATION_FLOOR))
     if short.size:
         k = int(short[0, -1])
         raise DegenerateVector(

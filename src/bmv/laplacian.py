@@ -10,7 +10,6 @@ are the unique solution of a linear system driven by the leader positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -32,7 +31,6 @@ class LocalizabilityResult(NamedTuple):
     eigenvalues: np.ndarray  # of L_ff, ascending
 
 
-@dataclass(frozen=True)
 class BearingLaplacian:
     """Bearing Laplacian with its leader/follower partition.
 
@@ -40,20 +38,15 @@ class BearingLaplacian:
     The follower rows' blocks L_fl and L_ff are read-only views.
     """
 
-    matrix: np.ndarray
-    d: int
-    n_leaders: int
-    n_followers: int
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=float)
-        dn = self.d * (self.n_leaders + self.n_followers)
+    def __init__(self, matrix, d: int, n_leaders: int, n_followers: int) -> None:
+        mat = np.array(matrix, dtype=float)
+        dn = d * (n_leaders + n_followers)
         if mat.shape != (dn, dn):
             raise DimensionMismatch(
                 f"Laplacian shape {mat.shape} does not match {dn} stacked coordinates"
             )
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self.matrix, self.d, self.n_leaders, self.n_followers = mat, d, n_leaders, n_followers
 
     @property
     def _split(self) -> int:

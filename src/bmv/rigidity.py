@@ -12,7 +12,7 @@ itself is kept for formations too close to singular for that to be exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,18 +30,12 @@ TAU_RANK = 1e-9
 TAU_GRAM = 1e-6
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     rank: int
     required_rank: int
     is_infinitesimally_bearing_rigid: bool
     null_space_dim: int
-    singular_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        sv = np.array(self.singular_values, dtype=float)
-        sv.setflags(write=False)
-        object.__setattr__(self, "singular_values", sv)
+    singular_values: np.ndarray  # descending, read-only
 
 
 def bearing_rigidity_matrix(graph: FormationGraph, config: Configuration) -> np.ndarray:
@@ -103,6 +97,7 @@ def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityRep
     if sv is None:
         R = bearing_rigidity_matrix(graph, config)
         sv = np.linalg.svd(R, compute_uv=False) if R.size else np.zeros(0)
+    sv.setflags(write=False)
     if sv.size and sv[0] > 0.0:
         rank = int(np.sum(sv > TAU_RANK * sv[0]))
     else:

@@ -2,21 +2,22 @@
 
 A scenario bundles the formation, the gains, and a piecewise-constant leader
 schedule.  Assembly front-loads every validation step: bearings are read off
-the reference formation, rigidity and localizability are checked, the
+the reference formation, rigidity and localizability are checked, and the
 schedule is resolved segment by segment against the target formation it will
-steer, and the initial state is fixed.  The run itself is a classical
-fixed-step fourth-order Runge-Kutta loop that never steps across a segment
-boundary.  Within a segment the closed loop is one linear system with
-constant input, stepped mode by mode along the eigenvectors of the follower
-block, a block of equal steps at a time (see controller.ClosedLoop); leader
-paths are integrated exactly and two runs of the same scenario agree bit for
-bit.  The tracking error is read at every step, the other metrics afterwards.
+steer.  A seeded initial state is drawn when a run first reads it.  The run
+itself is a classical fixed-step fourth-order Runge-Kutta loop that never
+steps across a segment boundary.  Within a segment the closed loop is one
+linear system with constant input, stepped mode by mode along the
+eigenvectors of the follower block, a block of equal steps at a time (see
+controller.ClosedLoop); leader paths are integrated exactly and two runs of
+the same scenario agree bit for bit.  The tracking error is read at every step, the other metrics afterwards.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,64 +69,50 @@ METRICS_BLOCK_ELEMENTS = 1 << 18
 MAX_RUN_ELEMENTS = 1 << 26
 
 
-@dataclass(frozen=True)
 class Segment:
     """One piece of the leader schedule, active on [t_start, t_end)."""
 
-    t_start: float
-    t_end: float
-    v_c: np.ndarray
-    scale_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = np.array(self.v_c, dtype=float).reshape(-1)
+    def __init__(self, t_start: float, t_end: float, v_c, scale_rate: float = 0.0) -> None:
+        v = np.array(v_c, dtype=float).reshape(-1)
         if not np.all(np.isfinite(v)):
             raise ValueError("segment velocity contains non-finite entries")
         v.setflags(write=False)
-        object.__setattr__(self, "v_c", v)
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "scale_rate", float(self.scale_rate))
+        self.t_start, self.t_end, self.v_c = float(t_start), float(t_end), v
+        self.scale_rate = float(scale_rate)
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"segment must end after it starts, got [{self.t_start}, {self.t_end}]"
             )
 
 
-@dataclass(frozen=True)
 class Scenario:
     """Everything needed to reproduce one simulation run."""
 
-    graph: FormationGraph
-    reference_config: Configuration
-    schedule: tuple[Segment, ...]
-    duration: float
-    gains: Gains = DEFAULT_GAINS
-    initial_config: Configuration | None = None
-    dt: float = DEFAULT_DT
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ensure_compatible(self.graph, self.reference_config)
-        if self.initial_config is not None:
-            ensure_compatible(self.graph, self.initial_config)
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not 0.0 < self.dt:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        if not self.schedule:
+    def __init__(self, graph: FormationGraph, reference_config: Configuration, schedule,
+                 duration: float, gains: Gains = DEFAULT_GAINS,
+                 initial_config: Configuration | None = None, dt: float = DEFAULT_DT,
+                 seed: int = 0) -> None:
+        ensure_compatible(graph, reference_config)
+        if initial_config is not None:
+            ensure_compatible(graph, initial_config)
+        if not duration > 0.0:
+            raise ValueError(f"duration must be positive, got {duration}")
+        if not 0.0 < dt:
+            raise ValueError(f"dt must be positive, got {dt}")
+        schedule = tuple(schedule)
+        if not schedule:
             raise ScheduleGap("schedule is empty")
-        for seg in self.schedule:
-            if seg.v_c.size != self.graph.d:
+        for seg in schedule:
+            if seg.v_c.size != graph.d:
                 raise DimensionMismatch(
-                    f"segment velocity has length {seg.v_c.size}, "
-                    f"expected {self.graph.d}"
+                    f"segment velocity has length {seg.v_c.size}, expected {graph.d}"
                 )
+        self.graph, self.reference_config, self.schedule = graph, reference_config, schedule
+        self.duration, self.gains, self.initial_config = duration, gains, initial_config
+        self.dt, self.seed = dt, seed
 
 
-@dataclass(frozen=True)
-class ResolvedSegment:
+class ResolvedSegment(NamedTuple):
     """A schedule segment bound to the target formation it steers."""
 
     t_start: float
@@ -137,53 +124,72 @@ class ResolvedSegment:
     window: tuple[float, float]  # the part of [0, duration] it covers; may be empty
 
 
-@dataclass(frozen=True)
 class SimContext:
-    """Validated scenario with everything precomputed for stepping."""
+    """Validated scenario with everything precomputed for stepping.
 
-    scenario: Scenario
-    bearing_spec: BearingSpec
-    laplacian: BearingLaplacian
-    rigidity: RigidityReport
-    segments: tuple[ResolvedSegment, ...]
-    initial_positions: np.ndarray = field(repr=False)
-    loop: ClosedLoop = field(repr=False)
+    ``initial_positions`` of None stands for the scenario's own start, which
+    is then fixed on first read (see the property).
+    """
+
+    def __init__(self, scenario: Scenario, bearing_spec: BearingSpec,
+                 laplacian: BearingLaplacian, rigidity: RigidityReport,
+                 segments: tuple[ResolvedSegment, ...], initial_positions: np.ndarray | None,
+                 loop: ClosedLoop) -> None:
+        self.scenario, self.bearing_spec, self.laplacian = scenario, bearing_spec, laplacian
+        self.rigidity, self.segments, self.loop = rigidity, segments, loop
+        if initial_positions is not None:
+            self.initial_positions = initial_positions
 
     @property
     def graph(self) -> FormationGraph:
         return self.scenario.graph
 
+    @cached_property
+    def initial_positions(self) -> np.ndarray:
+        """The stacked start state: the scenario's initial configuration, or
+        the first target with each follower moved by a seeded uniform draw of
+        up to PERTURBATION_FRACTION of its scale per axis.  Only a run reads
+        it, so only a run pays for the draw and for importing numpy.random."""
+        scenario = self.scenario
+        if scenario.initial_config is not None:
+            return scenario.initial_config.stacked.copy()
+        graph, target = self.graph, self.segments[0].target_start
+        rng = np.random.default_rng(scenario.seed)
+        amplitude = PERTURBATION_FRACTION * scale(target)
+        points = target.points.copy()
+        points[graph.n_leaders :] += rng.uniform(
+            -amplitude, amplitude, size=(graph.n_followers, graph.d)
+        )
+        return points.reshape(-1)
 
-@dataclass(frozen=True)
+
 class Trajectory:
-    """The kept samples of one run.  All arrays share the leading time axis."""
+    """The kept samples of one run.  All arrays share the leading time axis.
 
-    d: int
-    n: int
-    n_leaders: int
-    times: np.ndarray
-    positions: np.ndarray
-    xi: np.ndarray
-    bearing_error: np.ndarray
-    tracking_error: np.ndarray
-    centroid: np.ndarray
-    scale: np.ndarray
-    steps: int  # integrated, kept or not
-    decay: ExponentialFit | None  # of the tracking error over the last integrated segment
+    ``steps`` counts the integrated steps, kept or not, and ``decay`` is the
+    ExponentialFit of the tracking error over the last integrated segment,
+    or None.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("times", "positions", "xi", "bearing_error", "tracking_error",
-                     "centroid", "scale"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, d: int, n: int, n_leaders: int, times, positions, xi, bearing_error,
+                 tracking_error, centroid, scale, steps: int,
+                 decay: ExponentialFit | None) -> None:
+        self.d, self.n, self.n_leaders, self.steps, self.decay = d, n, n_leaders, steps, decay
+        self.times, self.positions, self.xi = map(_read_only, (times, positions, xi))
+        self.bearing_error, self.tracking_error, self.centroid, self.scale = map(
+            _read_only, (bearing_error, tracking_error, centroid, scale))
 
     def configuration(self, k: int) -> Configuration:
         return Configuration.from_stacked(self.positions[k], self.d)
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+def _read_only(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+class ExponentialFit(NamedTuple):
     """Least-squares line through log(values): values ~ exp(intercept + rate*t)."""
 
     rate: float
@@ -287,18 +293,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     if cursor < scenario.duration - TIME_TOL:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
-    target0 = segments[0].target_start
-    if scenario.initial_config is not None:
-        initial = scenario.initial_config.stacked.copy()
-    else:
-        rng = np.random.default_rng(scenario.seed)
-        amplitude = PERTURBATION_FRACTION * scale(target0)
-        points = target0.points.copy()
-        points[n_l:] += rng.uniform(
-            -amplitude, amplitude, size=(graph.n_followers, d)
-        )
-        initial = points.reshape(-1)
-
     logger.info(
         "assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e",
         graph.n,
@@ -314,7 +308,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         laplacian=lap,
         rigidity=rigidity,
         segments=tuple(segments),
-        initial_positions=initial,
+        initial_positions=None,
         loop=ClosedLoop(lap, scenario.gains, scenario.dt),
     )
 

@@ -1,5 +1,6 @@
 """Scenario parsing, result bundles, and the command-line surface."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -465,6 +466,20 @@ def test_a_tiny_formation_runs_as_the_unit_square_scaled(tmp_path):
     np.testing.assert_allclose(moved[:, 1:9], a * base[:, 1:9], rtol=0, atol=1e-10 * (a + 1.0))
 
 
+@pytest.mark.parametrize("a", [1e-13, 1e-100])
+def test_collocation_is_relative_to_the_formation(tmp_path, capsys, a):
+    # the unit square scaled down keeps its bearings, so it stays rigid and localizable
+    still = [{"t0": 0.0, "t1": 5.0, "vc": [0.0, 0.0], "scale_rate": 0.0}]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(small_doc(schedule=still, reference_positions={
+        k: [a * x for x in p] for k, p in small_doc()["reference_positions"].items()})))
+    assert main(["check", str(path)]) == EXIT_OK
+    assert "verdict: RIGID, LOCALIZABLE" in capsys.readouterr().out
+    assert main(["spectrum", str(path)]) == EXIT_OK
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--decimate", "100"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_run_refuses_flexible_without_force(tmp_path, capsys):
     doc = small_doc(edges=[["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = tmp_path / "floppy.json"
@@ -662,7 +677,7 @@ def test_batch_forks_no_more_workers_than_scenarios(scenario_file, tmp_path, mon
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(bmv.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     other = tmp_path / "square2.json"
     other.write_text(json.dumps(small_doc(seed=9)))
     out_root = tmp_path / "batch"
@@ -1022,3 +1037,27 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_only_run_imports_numpy_random(scenario_file, tmp_path):
+    # check and spectrum never draw the seeded start; batch alone starts a pool
+    src = Path(bmv.__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import bmv.cli\n"
+        "lean = lambda: [m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules]\n"
+        "seen = [lean()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in sys.argv[1:]:\n"
+        "        assert bmv.cli.main(argv.split()) == 0\n"
+        "        seen.append(lean())\n"
+        "print(seen)\n"
+    )
+    argv = [f"check {scenario_file}", f"spectrum {scenario_file}",
+            f"run {scenario_file} --out {tmp_path / 'out'} --decimate 100"]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == str([[], [], [], ["numpy.random"]])

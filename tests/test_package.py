@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -64,6 +65,17 @@ def test_public_names_are_pinned_and_importable():
     namespace = {}
     exec("from bmv import *", namespace)  # fails on a listed name that is missing
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_no_class_is_a_dataclass():
+    # generating a dataclass's methods at import costs every bmv process
+    import bmv.cli
+
+    objects = [getattr(bmv, name) for name in bmv.__all__]
+    classes = [obj for obj in objects + [bmv.cli.LoadedScenario, bmv.sim.ResolvedSegment]
+               if isinstance(obj, type)]
+    assert len(classes) == 24
+    assert not [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)]
 
 
 def test_benchmark_probe_runs_on_the_2d_bundle(tmp_path):
