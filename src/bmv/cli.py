@@ -31,7 +31,7 @@ from .controller import (
     largest_stable_step,
     step_amplification,
 )
-from .errors import NotLocalizable, NotRigid, ParseError
+from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
 from .sim import (
@@ -408,6 +408,17 @@ def build_summary(ctx: SimContext, traj: Trajectory, spectrum: dict | None = Non
 # ---------------------------------------------------------------------------
 # commands
 
+def _named(labels: tuple[str, ...], func, *args):
+    """func(*args), naming the agents of a collocation error by their scenario ids."""
+    try:
+        return func(*args)
+    except DegenerateVector as exc:
+        if exc.agents is None:
+            raise
+        i, j = exc.agents
+        raise DegenerateVector(str(exc).replace(f"{i} and {j}", f"{labels[i]} and {labels[j]}"))
+
+
 def _context(path, args) -> tuple[SimContext, tuple[str, ...]]:
     """Load a scenario, apply the --dt and --seed overrides, and assemble it."""
     loaded = load_scenario(path)
@@ -416,7 +427,7 @@ def _context(path, args) -> tuple[SimContext, tuple[str, ...]]:
                         base.gains, base.initial_config,
                         base.dt if args.dt is None else args.dt,
                         base.seed if args.seed is None else args.seed)
-    return assemble(scenario, force=args.force), loaded.labels
+    return _named(loaded.labels, assemble, scenario, args.force), loaded.labels
 
 
 def _attempt(func, *args) -> tuple[int, object]:
@@ -431,7 +442,8 @@ def _attempt(func, *args) -> tuple[int, object]:
 
 
 def cmd_check(args) -> int:
-    _, report, lap = structure(load_scenario(args.scenario).scenario)
+    loaded = load_scenario(args.scenario)
+    _, report, lap = _named(loaded.labels, structure, loaded.scenario)
     loc = lap.localizability
     lam = loc.min_eigenvalue
     print(f"rank            = {report.rank}")
@@ -463,7 +475,7 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
             f"{amplification or math.inf:.4g}; the largest stable dt is about "
             f"{largest_stable_step(report.eigenvalues, dt):.4g}"
         )
-    traj = run(ctx, args.decimate)
+    traj = _named(labels, run, ctx, args.decimate)
     summary = _json(build_summary(ctx, traj, spectrum))
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(outdir / "trajectory.csv", traj, labels)

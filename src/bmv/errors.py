@@ -2,7 +2,11 @@
 
 
 class DegenerateVector(ValueError):
-    """A vector that must be nonzero is numerically zero (e.g. collocated agents)."""
+    """A vector that must be nonzero is numerically zero (e.g. collocated ``agents``)."""
+
+    def __init__(self, message: str, agents: tuple[int, int] | None = None) -> None:
+        super().__init__(message)
+        self.agents = agents
 
 
 class DimensionMismatch(ValueError):

@@ -234,10 +234,8 @@ def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     short = np.argwhere(norms <= np.maximum(EPS_DEGENERATE * longest, COLLOCATION_FLOOR))
     if short.size:
         k = int(short[0, -1])
-        raise DegenerateVector(
-            f"agents {graph.edges[k][0]} and {graph.edges[k][1]} are collocated "
-            f"(edge {k})"
-        )
+        i, j = graph.edges[k]
+        raise DegenerateVector(f"agents {i} and {j} are collocated (edge {k})", agents=(i, j))
     return diffs / norms[..., None]
 
 

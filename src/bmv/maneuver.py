@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch
+from .errors import DimensionMismatch
 from .formation import Configuration, sum_squares
 
 
@@ -48,6 +48,4 @@ def combined_command(
     if not (np.all(np.isfinite(v)) and np.isfinite(rate)):
         raise ValueError("command contains non-finite entries")
     offsets = ref.points[:n_leaders] - ref.points.mean(axis=0)
-    if rate != 0.0 and np.any(np.linalg.norm(offsets, axis=1) <= 1e-12):
-        raise DegenerateVector("a leader sits at the target centroid; scaling is undefined")
     return (v + float(rate) * offsets).reshape(-1)

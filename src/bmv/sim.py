@@ -6,16 +6,19 @@ the reference formation, rigidity and localizability are checked, and the
 schedule is resolved segment by segment against the target formation it will
 steer.  A seeded initial state is drawn when a run first reads it.  The run
 itself is a classical fixed-step fourth-order Runge-Kutta loop that never
-steps across a segment boundary.  Within a segment the closed loop is one
-linear system with constant input, stepped mode by mode along the
-eigenvectors of the follower block, a block of equal steps at a time (see
-controller.ClosedLoop); leader paths are integrated exactly and two runs of
-the same scenario agree bit for bit.  The tracking error is read at every step, the other metrics afterwards.
+steps across a segment boundary: each segment takes a number of steps of dt
+counted once from its span, the last one landing on its end.  Within a
+segment the closed loop is one linear system with constant input, stepped
+mode by mode along the eigenvectors of the follower block, a block of equal
+steps at a time (see controller.ClosedLoop); leader paths are integrated
+exactly and two runs of the same scenario agree bit for bit.  The tracking
+error is read at every step, the other metrics afterwards.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -58,8 +61,9 @@ SCALE_FLOOR = 1e-3
 # differences of such coordinates, summed over three axes, stay far below overflow.
 COORDINATE_LIMIT = 1e150
 
-# Slack when comparing schedule boundary times.
-TIME_TOL = 1e-9
+# Slack on times, as a fraction of dt: on schedule boundaries, and on a
+# segment's last step, which is a full step of dt when this close to one.
+TIME_TOL = 1e-6
 
 # The metrics pass reads this many trajectory floats at a time, which bounds
 # its temporaries on wide formations and long runs.
@@ -125,20 +129,13 @@ class ResolvedSegment(NamedTuple):
 
 
 class SimContext:
-    """Validated scenario with everything precomputed for stepping.
-
-    ``initial_positions`` of None stands for the scenario's own start, which
-    is then fixed on first read (see the property).
-    """
+    """Validated scenario with everything precomputed for stepping."""
 
     def __init__(self, scenario: Scenario, bearing_spec: BearingSpec,
                  laplacian: BearingLaplacian, rigidity: RigidityReport,
-                 segments: tuple[ResolvedSegment, ...], initial_positions: np.ndarray | None,
-                 loop: ClosedLoop) -> None:
+                 segments: tuple[ResolvedSegment, ...], loop: ClosedLoop) -> None:
         self.scenario, self.bearing_spec, self.laplacian = scenario, bearing_spec, laplacian
         self.rigidity, self.segments, self.loop = rigidity, segments, loop
-        if initial_positions is not None:
-            self.initial_positions = initial_positions
 
     @property
     def graph(self) -> FormationGraph:
@@ -245,12 +242,13 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
 
     can_solve = localizability.localizable
     floor = SCALE_FLOOR * scale(ref)
+    slack = TIME_TOL * scenario.dt
     segments = []
     cursor = 0.0
     for k, seg in enumerate(scenario.schedule):
-        if seg.t_start > cursor + TIME_TOL:
+        if seg.t_start > cursor + slack:
             raise ScheduleGap(f"schedule leaves [{cursor}, {seg.t_start}] uncovered")
-        if seg.t_start < cursor - TIME_TOL:
+        if seg.t_start < cursor - slack:
             raise ScheduleGap(
                 f"schedule starts at {seg.t_start}, before the run" if k == 0
                 else f"segments overlap near t={seg.t_start} (previous ends at {cursor})"
@@ -290,7 +288,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
             )
         )
         leader_stack = end
-    if cursor < scenario.duration - TIME_TOL:
+    if cursor < scenario.duration - slack:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
     logger.info(
@@ -308,7 +306,6 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         laplacian=lap,
         rigidity=rigidity,
         segments=tuple(segments),
-        initial_positions=None,
         loop=ClosedLoop(lap, scenario.gains, scenario.dt),
     )
 
@@ -323,8 +320,9 @@ def step(
     """
     p = np.asarray(state[0], dtype=float).reshape(-1)
     xi = np.asarray(state[1], dtype=float).reshape(-1)
-    started = [seg for seg in ctx.segments if seg.t_start <= t + TIME_TOL]
-    if not started or t > ctx.segments[-1].t_end + TIME_TOL:
+    slack = TIME_TOL * ctx.scenario.dt
+    started = [seg for seg in ctx.segments if seg.t_start <= t + slack]
+    if not started or t > ctx.segments[-1].t_end + slack:
         raise ValueError(f"t={t} lies outside the schedule")
     seg = started[-1]
     block = np.stack([np.concatenate([p, xi])] * 2)
@@ -334,30 +332,23 @@ def step(
     return block[1, : p.size], block[1, p.size :]
 
 
-def _spans(ctx: SimContext) -> list[ResolvedSegment]:
-    """The segments a run integrates: those whose window is not empty."""
-    return [seg for seg in ctx.segments if seg.window[1] > seg.window[0] + TIME_TOL]
-
-
-def _steps(ctx: SimContext):
+def _steps(ctx: SimContext, counts: list[int]):
     """Yield (segment, step size, times after each step) for every run of at
-    most BLOCK_STEPS equal steps in one segment."""
+    most BLOCK_STEPS equal steps.  A segment whose window is [t0, t1] takes
+    its count n of steps, at t0 + dt, t0 + 2 dt, ... and finally t1; the last
+    one is t1 - (t0 + (n - 1) dt) long, or dt when within TIME_TOL dt of it."""
     dt = ctx.scenario.dt
-    for seg in _spans(ctx):
+    for seg, n in zip(ctx.segments, counts):
+        if not n:
+            continue
         t0, t1 = seg.window
-        t, h, times = t0, dt, []
-        while t < t1 - TIME_TOL:
-            size = min(dt, t1 - t)
-            if times and (size != h or len(times) == BLOCK_STEPS):
-                yield seg, h, times
-                times = []
-            h = size
-            t = t + h
-            if t1 - t < TIME_TOL * max(1.0, dt):
-                t = t1
-            times.append(t)
-        if times:
-            yield seg, h, times
+        times = np.append(t0 + dt * np.arange(1.0, n), t1)
+        last = t1 - (t0 + dt * (n - 1))
+        full = n if abs(last - dt) <= TIME_TOL * dt else n - 1
+        for start in range(0, full, BLOCK_STEPS):
+            yield seg, dt, times[start : min(start + BLOCK_STEPS, full)]
+        if full < n:
+            yield seg, last, times[full:]
 
 
 def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
@@ -390,52 +381,46 @@ def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def _decay(ctx: SimContext, times: np.ndarray, errors: np.ndarray) -> ExponentialFit | None:
-    """The tracking error's fit over the last integrated segment's steps above
-    1e-13, or None."""
-    start = max((seg.window[0] for seg in _spans(ctx)), default=0.0)
-    window = (times >= start) & (errors > 1e-13)
-    try:
-        return exponential_fit(times[window], errors[window])
-    except WindowTooShort:
-        return None
-
-
 def run(ctx: SimContext, every: int = 1) -> Trajectory:
     """Integrate the whole schedule, keeping samples 0, every, 2*every, ...
     and the final one.
 
-    The step size is the scenario dt, shortened at each segment boundary so
-    the integrator lands on it exactly.  The tracking error (distance of the
-    followers from their current targets) is read at every step and fitted
-    as ``decay``; the kept samples also get the total bearing mismatch and
-    the formation's centroid and scale.  Raises ValueError before
-    integrating when every step's state would exceed MAX_RUN_ELEMENTS floats.
+    Each segment takes ceil(span / dt - TIME_TOL) steps of the scenario dt,
+    the last one shortened to land on the segment's end (see _steps).  The
+    tracking error (distance of the followers from their current targets) is
+    read at every step and fitted as ``decay`` over the last segment
+    integrated, above 1e-13 of the reference formation's scale; the kept
+    samples also get the total bearing mismatch and the formation's centroid
+    and scale.  Raises ValueError before integrating when every step's state
+    would exceed MAX_RUN_ELEMENTS floats.
     """
     if every < 1:
         raise ValueError(f"every must be at least 1, got {every}")
     graph = ctx.graph
     nd = graph.n * graph.d
     width = nd + graph.d * graph.n_followers
-    spans = [(seg.window[1] - seg.window[0]) / ctx.scenario.dt for seg in _spans(ctx)]
-    # Each segment takes at most ceil(span / dt) steps, plus one for rounding.
-    rows = sum(spans) + 2 * len(spans) + 1
-    if not rows * width <= MAX_RUN_ELEMENTS:
+    spans = [max(0.0, seg.window[1] - seg.window[0]) / ctx.scenario.dt for seg in ctx.segments]
+    # bounded before it becomes an integer: the span of a subnormal dt is inf
+    counts = [math.ceil(min(span, MAX_RUN_ELEMENTS) - TIME_TOL) for span in spans]
+    steps = sum(counts)
+    if not (steps + 1) * width <= MAX_RUN_ELEMENTS:
         raise ValueError(
             f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
             f"more than the {MAX_RUN_ELEMENTS} floats a run may step through"
         )
-    every = min(every, int(rows))  # the same rows, and np.arange below stays integer
-    kept = np.zeros(((int(rows) - 1) // every + 2, width))
-    times = np.zeros(int(rows))
-    errors = np.empty(int(rows))
+    every = min(every, max(steps, 1))  # the same rows, and np.arange below stays integer
+    at = np.arange(0, steps + every, every)
+    at[-1] = steps
+    kept = np.zeros((at.size, width))
+    times = np.zeros(steps + 1)
+    errors = np.empty(steps + 1)
     block = np.zeros((BLOCK_STEPS + 1, width))  # rows [p_l, q, eta]
     block[0, :nd] = ctx.initial_positions
     ctx.loop.change_basis(block[:1], modal=True)
     kept[0] = block[0]
     errors[:1] = ctx.loop.tracking_error(block[:1])
     k = 0
-    for seg, h, stamps in _steps(ctx):
+    for seg, h, stamps in _steps(ctx, counts):
         count = len(stamps)
         ctx.loop.fill(block[: count + 1], seg.leader_velocity, h)
         times[k + 1 : k + 1 + count] = stamps
@@ -444,20 +429,22 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
         kept[first // every : (k + count) // every + 1] = block[first - k : count + 1 : every]
         block[0] = block[count]
         k += count
-    at = np.arange(0, k + every, every)
-    at[-1] = k
-    kept = kept[: at.size]
     kept[-1] = block[0]
     ctx.loop.change_basis(kept, modal=False)
     kept[0, :nd] = ctx.initial_positions  # exactly, not through U U^T
+    start = steps - next((n for n in reversed(counts) if n), 0)  # the last segment's
+    fitted = errors[start:] > 1e-13 * scale(ctx.scenario.reference_config)
+    try:
+        decay = exponential_fit(times[start:][fitted], errors[start:][fitted])
+    except WindowTooShort:
+        decay = None
     return Trajectory(
         d=graph.d, n=graph.n, n_leaders=graph.n_leaders,
         times=times[at],
         positions=kept[:, :nd],
         xi=kept[:, nd:],
         tracking_error=errors[at],
-        steps=k,
-        decay=_decay(ctx, times[: k + 1], errors[: k + 1]),
+        steps=steps, decay=decay,
         **_metrics(ctx, kept[:, :nd]),
     )
 

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -480,6 +481,27 @@ def test_collocation_is_relative_to_the_formation(tmp_path, capsys, a):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["check", "spectrum", "run"])
+def test_collocated_agents_are_named_by_their_ids(tmp_path, capsys, command):
+    # scaled by 1e-160 the square's edges fall below COLLOCATION_FLOOR
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(small_doc(reference_positions={
+        k: [1e-160 * x for x in p] for k, p in small_doc()["reference_positions"].items()})))
+    flags = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *flags]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: agents a and b are collocated (edge 0)\n"
+
+
+def test_a_collocation_during_a_run_names_the_agents(tmp_path, capsys):
+    agents = small_doc()["agents"]
+    starts = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [1.0, 1.0], "d": [1.0, 1.0]}
+    path = tmp_path / "met.json"
+    path.write_text(json.dumps(small_doc(agents=[{**agent, "initial": starts[agent["id"]]}
+                                                 for agent in agents])))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: agents c and d are collocated (edge 2)\n"
+
+
 def test_run_refuses_flexible_without_force(tmp_path, capsys):
     doc = small_doc(edges=[["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = tmp_path / "floppy.json"
@@ -710,6 +732,22 @@ def test_run_refuses_unbounded_step_count(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, code", [("spectrum", EXIT_OK), ("run", EXIT_VALIDATION)])
+def test_a_subnormal_dt_is_counted_without_overflow(tmp_path, capsys, command, code):
+    # the 2-D bundle's 24 s at dt = 5e-324 is an infinite number of steps,
+    # which spectrum never counts and run refuses in one line
+    path = str(bundled_scenario_path("narrow_passage_2d"))
+    flags = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, path, "--dt", "5e-324", *flags]) == code
+    err = capsys.readouterr().err
+    if command == "run":
+        assert err == ("error: the run takes about inf steps of 20 floats each, more than the "
+                       "67108864 floats a run may step through\n")
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("dt", ["0.2", "1e+300"])
 def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, dt):
     # dt * max|lambda| is 7.4 at dt = 0.2 and 2.6 at dt = 0.07, and RK4 is
@@ -921,6 +959,110 @@ def test_every_input_ends_in_a_bundle_or_one_line(call):
             return
         json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
         assert _finite_csv(out / "trajectory.csv") and _finite_csv(out / "xi.csv")
+
+
+def _moved(doc, a, shift):
+    """doc with every position p moved to a p + shift and every velocity scaled by a."""
+    doc = json.loads(json.dumps(doc))
+    doc["reference_positions"] = {k: [a * x + b for x, b in zip(p, shift)]
+                                  for k, p in doc["reference_positions"].items()}
+    for seg in doc["schedule"]:
+        seg["vc"] = [a * v for v in seg["vc"]]
+    return doc
+
+
+def _rescaled(doc, c):
+    """doc with time scaled by c: every time and dt times c, k_p / c, k_i / c^2,
+    and every velocity and scale rate divided by c."""
+    doc = json.loads(json.dumps(doc))
+    for seg in doc["schedule"]:
+        seg.update(t0=c * seg["t0"], t1=c * seg["t1"], vc=[v / c for v in seg["vc"]],
+                   scale_rate=seg["scale_rate"] / c)
+    doc.update(dt=c * doc["dt"], duration=c * doc["duration"],
+               gains={"kp": doc["gains"]["kp"] / c, "ki": doc["gains"]["ki"] / c**2})
+    return doc
+
+
+class Outcome(NamedTuple):
+    checked: int
+    verdicts: list
+    code: int
+    summary: dict | None
+    final: np.ndarray | None  # the last row's positions
+
+
+def _outcome(doc) -> Outcome:
+    """``check`` and ``run`` of doc in process, with warnings as errors."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+            checked = main(["check", str(path)])
+            code = main(["run", str(path), "--out", str(out), "--decimate", str(2**62)])
+        # lambda_min_ff is printed to 7 digits, which rounding may move
+        verdicts = [line for line in printed.getvalue().splitlines()[:6]
+                    if not line.startswith("lambda_min_ff")]
+        if code != EXIT_OK:
+            return Outcome(checked, verdicts, code, None, None)
+        width = len(doc["agents"]) * doc["dimension"]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        final = np.array(rows[-1].split(",")[1 : 1 + width], dtype=float)
+        return Outcome(checked, verdicts, code, json.loads((out / "summary.json").read_text()),
+                       final)
+
+
+# The unit square with a scaling second segment, and the 2-D bundle.
+SYMMETRY_DOCS = {
+    "square": small_doc(schedule=[
+        {"t0": 0.0, "t1": 0.3, "vc": [0.1, 0.0], "scale_rate": 0.0},
+        {"t0": 0.3, "t1": 5.0, "vc": [0.0, 0.1], "scale_rate": 0.2}]),
+    "bundle": bundle_doc(),
+}
+
+
+@pytest.fixture(scope="module")
+def unmoved() -> dict[str, Outcome]:
+    return {name: _outcome(doc) for name, doc in SYMMETRY_DOCS.items()}
+
+
+@st.composite
+def symmetries(draw):
+    """(doc name, a, shift / a, c): a translation with a spatial scale a, or a
+    time scale c."""
+    name = draw(st.sampled_from(sorted(SYMMETRY_DOCS)))
+    if draw(st.booleans()):
+        return name, 10.0 ** draw(st.floats(-12.0, 12.0)), draw(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))), 1.0
+    return name, 1.0, (0.0, 0.0), 10.0 ** draw(st.floats(-8.0, 4.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(symmetry=symmetries())
+@example(symmetry=("square", 1.0, (0.0, 0.0), 1e-6))  # a float-walked clock lost a step
+@example(symmetry=("bundle", 1e-9, (0.0, 0.0), 1.0))  # an absolute decay-fit floor
+@example(symmetry=("square", 1e-12, (0.0, 0.0), 1.0))  # a refused leader near the centroid
+def test_units_change_no_result(unmoved, symmetry):
+    # bearings ignore p -> a p + b, and the closed loop maps onto itself when
+    # time is scaled by c with the gains and rates: the verdicts, the step
+    # count, the decay rate times c and the final positions stay the same
+    name, a, beta, c = symmetry
+    shift = a * np.array(beta)
+    base = unmoved[name]
+    moved = _outcome(_rescaled(_moved(SYMMETRY_DOCS[name], a, shift), c))
+    assert base.code == EXIT_OK
+    assert (moved.checked, moved.verdicts, moved.code) == (base.checked, base.verdicts, EXIT_OK)
+    assert moved.summary["integration"]["samples"] == base.summary["integration"]["samples"]
+    # the bundle's fit reads tracking errors near 2e-9 of its coordinates, whose
+    # rounding does not scale with them: over 400 draws the rate moved by 7e-8
+    assert moved.summary["decay_fit"]["rate"] * c == pytest.approx(
+        base.summary["decay_fit"]["rate"], rel=1e-6)
+    # equivariance within test_run_is_equivariant_under_translation_and_scaling's
+    # tolerance, in the units of the unmoved formation
+    tol = 1e-10 * (2.0 + float(np.abs(beta).max()))
+    np.testing.assert_allclose((moved.final - np.tile(shift, moved.final.size // 2)) / a,
+                               base.final, rtol=0, atol=tol)
 
 
 def test_batch_deduplicates_output_names(tmp_path):

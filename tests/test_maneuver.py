@@ -1,5 +1,6 @@
 """Maneuver commands: centroid/scale rates and feasibility of the induced motion."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 from bmv import (
     BearingSpec,
     Configuration,
-    DegenerateVector,
     DimensionMismatch,
     FormationGraph,
+    Gains,
+    Scenario,
+    Segment,
+    assemble,
     bearing_laplacian,
     check_localizable,
     combined_command,
+    run,
     scale,
     target_follower_positions,
 )
@@ -82,13 +87,23 @@ def test_full_alpha_vector_reproduces_scale_rate_formula():
         assert rms == pytest.approx(_induced_scale_rate(v_l), rel=1e-12)
 
 
-def test_leader_at_centroid_rejected_for_scaling_only():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]])
+def test_a_leader_at_the_centroid_moves_at_v_c_while_the_formation_scales():
+    # the command v_c + rate (p_i - c) divides by nothing, so a leader at c is
+    # just the one that does not move radially
+    pts = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cfg = Configuration(pts)  # agent 0 sits at the centroid
-    with pytest.raises(DegenerateVector):
-        combined_command([0.0, 0.0], cfg, 1, rate=0.2)
-    # a pure translation never looks at the radii
-    np.testing.assert_allclose(combined_command([1.0, 0.0], cfg, 1, rate=0.0), [1.0, 0.0])
+    v_c = np.array([0.1, -0.2])
+    np.testing.assert_array_equal(combined_command(v_c, cfg, 2, rate=0.05)[:2], v_c)
+    graph = FormationGraph(n=5, d=2, edges=tuple(itertools.combinations(range(5), 2)),
+                           n_leaders=2)
+    duration, dt = 20.0, 1e-2
+    ctx = assemble(Scenario(graph, cfg, (Segment(0.0, duration, v_c, scale_rate=0.05),),
+                            duration, Gains(k_p=8.0, k_i=20.0), initial_config=cfg, dt=dt))
+    traj = run(ctx)
+    np.testing.assert_allclose(traj.positions[-1][:2], pts[0] + v_c * duration, rtol=0,
+                               atol=1e-12)
+    s_dot = (traj.scale[-1] - traj.scale[-2]) / dt
+    assert abs(s_dot - ctx.segments[0].predicted_scale_rate) < 1e-4
 
 
 def test_command_validation_errors():

@@ -285,26 +285,23 @@ def _stage_rk4_run(ctx):
     for seg in ctx.segments:
         t0 = max(seg.t_start, 0.0)
         t1 = min(seg.t_end, scenario.duration)
-        if t1 <= t0 + 1e-9:
-            continue
         v = seg.leader_velocity
-        t = t0
-        while t < t1 - 1e-9:
-            h = min(dt, t1 - t)
+        # n steps at t0 + k dt, the last landing on t1; it is a full step
+        # when within 1e-6 dt of one
+        n = math.ceil(max(0.0, t1 - t0) / dt - 1e-6)
+        for k in range(1, n + 1):
+            h = dt
+            if k == n and abs(t1 - (t0 + (n - 1) * dt) - dt) > 1e-6 * dt:
+                h = t1 - (t0 + (n - 1) * dt)
             k1p, k1x = rhs(p, xi, v)
             k2p, k2x = rhs(p + 0.5 * h * k1p, xi + 0.5 * h * k1x, v)
             k3p, k3x = rhs(p + 0.5 * h * k2p, xi + 0.5 * h * k2x, v)
             k4p, k4x = rhs(p + h * k3p, xi + h * k3x, v)
             p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
             xi = xi + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-            t = t + h
-            if t1 - t < 1e-9 * max(1.0, dt):
-                t = t1
-            times.append(t)
+            times.append(t1 if k == n else t0 + k * dt)
             ps.append(p)
             xis.append(xi)
-        if t1 >= scenario.duration - 1e-9:
-            break
     return np.array(times), np.array(ps), np.array(xis)
 
 
