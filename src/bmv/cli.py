@@ -492,7 +492,9 @@ def cmd_run(args) -> int:
     traj = _run_bundle(args.scenario, outdir, args, dump_xi=args.dump_xi)
     print(f"bearing_error  = {traj.bearing_error[-1]:.6e}")
     print(f"tracking_error = {traj.tracking_error[-1]:.6e}")
-    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'summary.json'}")
+    names = ["trajectory.csv", "summary.json"] + ["xi.csv"] * args.dump_xi
+    *paths, last = [str(outdir / name) for name in names]
+    print(f"wrote {', '.join(paths)} and {last}")
     return EXIT_OK
 
 

@@ -93,9 +93,6 @@ def follower_velocity(
 # Equal steps a ClosedLoop tabulates, and so writes in one pass.
 BLOCK_STEPS = 128
 
-# Trajectory floats changed to or from modal coordinates at a time.
-CHUNK_ELEMENTS = 1 << 18
-
 
 class ClosedLoop:
     """The PI closed loop on z = [p, xi] (leaders first), stepped mode by mode.
@@ -151,11 +148,8 @@ class ClosedLoop:
         """Turn rows [p_l, p_f, xi] into [p_l, q, eta] in place, or back."""
         U = self.lap.modes[1]
         U = U if modal else U.T
-        rows = max(1, CHUNK_ELEMENTS // max(U.shape[0], 1))
-        for start in range(0, len(states), rows):
-            block = states[start : start + rows]
-            for cols in self._columns:
-                block[:, cols] = block[:, cols] @ U
+        for cols in self._columns:
+            states[:, cols] = states[:, cols] @ U
 
     def fill(self, block: np.ndarray, v: np.ndarray, h: float) -> None:
         """Write RK4 steps of length h into block[1:], at most BLOCK_STEPS of

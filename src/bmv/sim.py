@@ -12,7 +12,9 @@ segment the closed loop is one linear system with constant input, stepped
 mode by mode along the eigenvectors of the follower block, a block of equal
 steps at a time (see controller.ClosedLoop); leader paths are integrated
 exactly and two runs of the same scenario agree bit for bit.  The tracking
-error is read at every step, the other metrics afterwards.
+error is read at every step.  The kept samples of each block are turned back
+and measured as soon as the block is integrated, so a run stops at the first
+block whose kept samples are non-finite or collocated.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ COORDINATE_LIMIT = 1e150
 # Slack on times, as a fraction of dt: on schedule boundaries, and on a
 # segment's last step, which is a full step of dt when this close to one.
 TIME_TOL = 1e-6
-
-# The metrics pass reads this many trajectory floats at a time, which bounds
-# its temporaries on wide formations and long runs.
-METRICS_BLOCK_ELEMENTS = 1 << 18
 
 # A run's steps, kept or not, may count at most this many state floats (512 MiB).
 MAX_RUN_ELEMENTS = 1 << 26
@@ -351,34 +349,21 @@ def _steps(ctx: SimContext, counts: list[int]):
             yield seg, last, times[full:]
 
 
-def _metrics(ctx: SimContext, positions: np.ndarray) -> dict[str, np.ndarray]:
-    """The bearing error, centroid and scale of stored positions, in blocks.
+def _measure(ctx: SimContext, positions: np.ndarray, out: dict[str, np.ndarray],
+             rows: slice) -> None:
+    """Write the bearing error, centroid and scale of stacked positions into
+    out[name][rows].
 
     Raises ValueError on non-finite positions and DegenerateVector on
     collocated neighbours.
     """
-    graph = ctx.graph
-    n, d = graph.n, graph.d
-    samples = positions.shape[0]
-    out = {
-        "bearing_error": np.empty(samples),
-        "centroid": np.empty((samples, d)),
-        "scale": np.empty(samples),
-    }
-    rows = max(1, METRICS_BLOCK_ELEMENTS // (d * max(n, graph.m)))
-    for start in range(0, samples, rows):
-        block = slice(start, start + rows)
-        p = positions[block]
-        if not np.all(np.isfinite(p)):
-            raise ValueError("positions contain non-finite entries")
-        pts = p.reshape(-1, n, d)
-        bearings = edge_bearings(graph, pts)
-        out["bearing_error"][block] = np.sqrt(
-            sum_squares(bearings - ctx.bearing_spec.vectors)
-        ).sum(axis=-1)
-        out["centroid"][block] = pts.mean(axis=1)
-        out["scale"][block] = rms_radius(pts)
-    return out
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions contain non-finite entries")
+    pts = positions.reshape(len(positions), ctx.graph.n, ctx.graph.d)
+    mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+    out["bearing_error"][rows] = np.sqrt(sum_squares(mismatch)).sum(axis=-1)
+    out["centroid"][rows] = pts.mean(axis=1)
+    out["scale"][rows] = rms_radius(pts)
 
 
 def run(ctx: SimContext, every: int = 1) -> Trajectory:
@@ -389,10 +374,12 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     the last one shortened to land on the segment's end (see _steps).  The
     tracking error (distance of the followers from their current targets) is
     read at every step and fitted as ``decay`` over the last segment
-    integrated, above 1e-13 of the reference formation's scale; the kept
+    integrated, above 1e-13 of the reference formation's scale.  The kept
     samples also get the total bearing mismatch and the formation's centroid
-    and scale.  Raises ValueError before integrating when every step's state
-    would exceed MAX_RUN_ELEMENTS floats.
+    and scale, measured block by block as the run goes: the first block
+    whose kept samples are non-finite (ValueError) or collocated
+    (DegenerateVector) ends the run there.  Raises ValueError before
+    integrating when every step's state would exceed MAX_RUN_ELEMENTS floats.
     """
     if every < 1:
         raise ValueError(f"every must be at least 1, got {every}")
@@ -412,12 +399,15 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     at = np.arange(0, steps + every, every)
     at[-1] = steps
     kept = np.zeros((at.size, width))
+    kept[0, :nd] = ctx.initial_positions
+    metrics = {"bearing_error": np.empty(at.size), "centroid": np.empty((at.size, graph.d)),
+               "scale": np.empty(at.size)}
+    _measure(ctx, kept[:1, :nd], metrics, slice(0, 1))
     times = np.zeros(steps + 1)
     errors = np.empty(steps + 1)
     block = np.zeros((BLOCK_STEPS + 1, width))  # rows [p_l, q, eta]
-    block[0, :nd] = ctx.initial_positions
+    block[0] = kept[0]
     ctx.loop.change_basis(block[:1], modal=True)
-    kept[0] = block[0]
     errors[:1] = ctx.loop.tracking_error(block[:1])
     k = 0
     for seg, h, stamps in _steps(ctx, counts):
@@ -425,13 +415,12 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
         ctx.loop.fill(block[: count + 1], seg.leader_velocity, h)
         times[k + 1 : k + 1 + count] = stamps
         errors[k + 1 : k + 1 + count] = ctx.loop.tracking_error(block[1 : count + 1])
-        first = -(-(k + 1) // every) * every  # the first kept step after k
-        kept[first // every : (k + count) // every + 1] = block[first - k : count + 1 : every]
+        rows = slice(*np.searchsorted(at, (k + 1, k + count + 1)))  # kept steps k+1..k+count
+        kept[rows] = block[at[rows] - k]
+        ctx.loop.change_basis(kept[rows], modal=False)
+        _measure(ctx, kept[rows, :nd], metrics, rows)
         block[0] = block[count]
         k += count
-    kept[-1] = block[0]
-    ctx.loop.change_basis(kept, modal=False)
-    kept[0, :nd] = ctx.initial_positions  # exactly, not through U U^T
     start = steps - next((n for n in reversed(counts) if n), 0)  # the last segment's
     fitted = errors[start:] > 1e-13 * scale(ctx.scenario.reference_config)
     try:
@@ -444,8 +433,7 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
         positions=kept[:, :nd],
         xi=kept[:, nd:],
         tracking_error=errors[at],
-        steps=steps, decay=decay,
-        **_metrics(ctx, kept[:, :nd]),
+        steps=steps, decay=decay, **metrics,
     )
 
 

@@ -387,7 +387,7 @@ def test_run_csv_values_roundtrip_exactly(scenario_file, tmp_path):
     assert last[10] == traj.tracking_error[-1]
 
 
-def test_run_decimate_and_xi(scenario_file, tmp_path):
+def test_run_decimate_and_xi(scenario_file, tmp_path, capsys):
     # every 100th of 1001 samples; every 7th does not reach the last one,
     # which is written anyway
     for decimate, rows in ((100, 11), (7, 144)):
@@ -397,6 +397,9 @@ def test_run_decimate_and_xi(scenario_file, tmp_path):
             "--decimate", str(decimate), "--dump-xi",
         ])
         assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {outdir / 'trajectory.csv'}, {outdir / 'summary.json'} "
+            f"and {outdir / 'xi.csv'}")
         lines = (outdir / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + rows
         summary = json.loads((outdir / "summary.json").read_text())
@@ -961,13 +964,41 @@ def test_every_input_ends_in_a_bundle_or_one_line(call):
         assert _finite_csv(out / "trajectory.csv") and _finite_csv(out / "xi.csv")
 
 
-def _moved(doc, a, shift):
-    """doc with every position p moved to a p + shift and every velocity scaled by a."""
+class Symmetry(NamedTuple):
+    """p -> a R(theta) p + a beta, time scaled by c, and the agents and edges
+    listed in the orders ``agents`` and ``edges`` (indices into the
+    document's lists, or None to keep them)."""
+
+    name: str
+    a: float = 1.0
+    beta: tuple[float, float] = (0.0, 0.0)
+    c: float = 1.0
+    theta: float = 0.0
+    agents: tuple[int, ...] | None = None
+    edges: tuple[int, ...] | None = None
+
+
+def _moved(doc, sym: Symmetry):
+    """doc with every position p moved to a R p + a beta, every velocity
+    turned to a R v, and its agents and edges reordered as sym says."""
     doc = json.loads(json.dumps(doc))
-    doc["reference_positions"] = {k: [a * x + b for x, b in zip(p, shift)]
-                                  for k, p in doc["reference_positions"].items()}
+    cos, sin = math.cos(sym.theta), math.sin(sym.theta)
+    linear = sym.a * np.array([[cos, -sin], [sin, cos]])
+    shift = sym.a * np.array(sym.beta)
+
+    def move(p):
+        return list(linear @ p + shift)
+
+    doc["reference_positions"] = {k: move(p) for k, p in doc["reference_positions"].items()}
+    for agent in doc["agents"]:
+        if "initial" in agent:
+            agent["initial"] = move(agent["initial"])
     for seg in doc["schedule"]:
-        seg["vc"] = [a * v for v in seg["vc"]]
+        seg["vc"] = list(linear @ seg["vc"])
+    if sym.agents is not None:
+        doc["agents"] = [doc["agents"][k] for k in sym.agents]
+    if sym.edges is not None:
+        doc["edges"] = [doc["edges"][k] for k in sym.edges]
     return doc
 
 
@@ -1013,13 +1044,28 @@ def _outcome(doc) -> Outcome:
                        final)
 
 
-# The unit square with a scaling second segment, and the 2-D bundle.
-SYMMETRY_DOCS = {
-    "square": small_doc(schedule=[
-        {"t0": 0.0, "t1": 0.3, "vc": [0.1, 0.0], "scale_rate": 0.0},
-        {"t0": 0.3, "t1": 5.0, "vc": [0.0, 0.1], "scale_rate": 0.2}]),
-    "bundle": bundle_doc(),
-}
+def _started(doc):
+    """doc with an explicit start: the leaders at their reference positions,
+    and follower k moved from its reference by 0.1 (cos 2k, sin 3k)."""
+    doc = json.loads(json.dumps(doc))
+    followers = [agent for agent in doc["agents"] if agent["role"] == "follower"]
+    for agent in doc["agents"]:
+        agent["initial"] = list(doc["reference_positions"][agent["id"]])
+    for k, agent in enumerate(followers):
+        agent["initial"] = [agent["initial"][0] + 0.1 * math.cos(2 * k),
+                            agent["initial"][1] + 0.1 * math.sin(3 * k)]
+    return doc
+
+
+# The unit square with a scaling second segment, and the 2-D bundle, each
+# also with an explicit start: a seeded start follows translations and
+# scales, but not rotations or a new order of the agents.  Both list their
+# leaders first.
+SQUARE = small_doc(schedule=[
+    {"t0": 0.0, "t1": 0.3, "vc": [0.1, 0.0], "scale_rate": 0.0},
+    {"t0": 0.3, "t1": 5.0, "vc": [0.0, 0.1], "scale_rate": 0.2}])
+SYMMETRY_DOCS = {"square": SQUARE, "bundle": bundle_doc(),
+                 "square started": _started(SQUARE), "bundle started": _started(bundle_doc())}
 
 
 @pytest.fixture(scope="module")
@@ -1029,40 +1075,76 @@ def unmoved() -> dict[str, Outcome]:
 
 @st.composite
 def symmetries(draw):
-    """(doc name, a, shift / a, c): a translation with a spatial scale a, or a
-    time scale c."""
-    name = draw(st.sampled_from(sorted(SYMMETRY_DOCS)))
-    if draw(st.booleans()):
-        return name, 10.0 ** draw(st.floats(-12.0, 12.0)), draw(
-            st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))), 1.0
-    return name, 1.0, (0.0, 0.0), 10.0 ** draw(st.floats(-8.0, 4.0))
+    """A Symmetry of one kind: a translation with a spatial scale, a time
+    scale, a rotation, or a new order of the agents within each role and of
+    the edges.  The last two act on the started documents only."""
+    kind = draw(st.sampled_from(["space", "time", "rotation", "order"]))
+    started = sorted(name for name in SYMMETRY_DOCS if name.endswith("started"))
+    name = draw(st.sampled_from(sorted(SYMMETRY_DOCS) if kind in ("space", "time") else started))
+    if kind == "space":
+        return Symmetry(name, a=10.0 ** draw(st.floats(-12.0, 12.0)), beta=draw(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))))
+    if kind == "time":
+        return Symmetry(name, c=10.0 ** draw(st.floats(-8.0, 4.0)))
+    if kind == "rotation":
+        return Symmetry(name, theta=draw(st.floats(-math.pi, math.pi)))
+    doc = SYMMETRY_DOCS[name]
+    agents = list(range(len(doc["agents"])))
+    for role in ("leader", "follower"):
+        slots = [k for k, agent in enumerate(doc["agents"]) if agent["role"] == role]
+        for k, j in zip(slots, draw(st.permutations(slots))):
+            agents[k] = j
+    edges = draw(st.permutations(range(len(doc["edges"]))))
+    return Symmetry(name, agents=tuple(agents), edges=tuple(edges))
 
 
-@settings(max_examples=50, deadline=None)
+def _spectrum_times(summary, c):
+    """The closed-loop eigenvalues times c, as sorted real and imaginary parts:
+    sorting each alone keeps near-equal eigenvalues from trading places."""
+    eigenvalues = c * np.array(summary["spectrum"]["eigenvalues"])
+    return np.sort(eigenvalues[:, 0]), np.sort(eigenvalues[:, 1])
+
+
+@settings(max_examples=100, deadline=None)
 @given(symmetry=symmetries())
-@example(symmetry=("square", 1.0, (0.0, 0.0), 1e-6))  # a float-walked clock lost a step
-@example(symmetry=("bundle", 1e-9, (0.0, 0.0), 1.0))  # an absolute decay-fit floor
-@example(symmetry=("square", 1e-12, (0.0, 0.0), 1.0))  # a refused leader near the centroid
+@example(symmetry=Symmetry("square", c=1e-6))  # a float-walked clock lost a step
+@example(symmetry=Symmetry("bundle", a=1e-9))  # an absolute decay-fit floor
+@example(symmetry=Symmetry("square", a=1e-12))  # a refused leader near the centroid
+@example(symmetry=Symmetry("bundle started", theta=math.pi / 2))
+@example(symmetry=Symmetry("bundle started", agents=(1, 0, 5, 4, 3, 2),
+                           edges=tuple(range(14, -1, -1))))
 def test_units_change_no_result(unmoved, symmetry):
-    # bearings ignore p -> a p + b, and the closed loop maps onto itself when
-    # time is scaled by c with the gains and rates: the verdicts, the step
-    # count, the decay rate times c and the final positions stay the same
-    name, a, beta, c = symmetry
-    shift = a * np.array(beta)
-    base = unmoved[name]
-    moved = _outcome(_rescaled(_moved(SYMMETRY_DOCS[name], a, shift), c))
+    # bearings ignore p -> a p + b and turn with the formation, the closed
+    # loop maps onto itself when time is scaled by c with the gains and
+    # rates, and the agents' order is only a labelling: the verdicts, the
+    # step count, lambda_min, the spectrum and the decay rate times c, and
+    # the final positions stay the same
+    base = unmoved[symmetry.name]
+    moved = _outcome(_rescaled(_moved(SYMMETRY_DOCS[symmetry.name], symmetry), symmetry.c))
     assert base.code == EXIT_OK
     assert (moved.checked, moved.verdicts, moved.code) == (base.checked, base.verdicts, EXIT_OK)
     assert moved.summary["integration"]["samples"] == base.summary["integration"]["samples"]
+    # lambda_min and the spectrum moved by at most 3e-15 and 9e-16 of their scale
+    assert moved.summary["localizability"]["lambda_min_ff"] == pytest.approx(
+        base.summary["localizability"]["lambda_min_ff"], rel=1e-12)
+    radius = np.abs(np.array(base.summary["spectrum"]["eigenvalues"])).max()
+    for part, expected in zip(_spectrum_times(moved.summary, symmetry.c),
+                              _spectrum_times(base.summary, 1.0)):
+        np.testing.assert_allclose(part, expected, rtol=0, atol=1e-12 * radius)
     # the bundle's fit reads tracking errors near 2e-9 of its coordinates, whose
     # rounding does not scale with them: over 400 draws the rate moved by 7e-8
-    assert moved.summary["decay_fit"]["rate"] * c == pytest.approx(
+    assert moved.summary["decay_fit"]["rate"] * symmetry.c == pytest.approx(
         base.summary["decay_fit"]["rate"], rel=1e-6)
     # equivariance within test_run_is_equivariant_under_translation_and_scaling's
-    # tolerance, in the units of the unmoved formation
-    tol = 1e-10 * (2.0 + float(np.abs(beta).max()))
-    np.testing.assert_allclose((moved.final - np.tile(shift, moved.final.size // 2)) / a,
-                               base.final, rtol=0, atol=tol)
+    # tolerance, in the units and the agent order of the unmoved formation
+    cos, sin = math.cos(symmetry.theta), math.sin(symmetry.theta)
+    points = (moved.final.reshape(-1, 2) - symmetry.a * np.array(symmetry.beta)) / symmetry.a
+    points = points @ np.array([[cos, -sin], [sin, cos]])  # turned back by -theta
+    expected = base.final.reshape(-1, 2)
+    if symmetry.agents is not None:
+        expected = expected[list(symmetry.agents)]
+    tol = 1e-10 * (2.0 + float(np.abs(symmetry.beta).max()))
+    np.testing.assert_allclose(points, expected, rtol=0, atol=tol)
 
 
 def test_batch_deduplicates_output_names(tmp_path):

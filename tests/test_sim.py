@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmv import (
+    ClosedLoop,
     Configuration,
     DegenerateVector,
     DimensionMismatch,
@@ -253,19 +254,33 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.bearing_error, b.bearing_error)
 
 
-def test_metrics_reject_collocated_and_non_finite_states():
+def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
+    # the kept samples are measured block by block, so a run stops at the
+    # first block that holds a bad one: a collocated start before any block
+    fill = ClosedLoop.fill
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        fill(self, *args)
+
+    monkeypatch.setattr(ClosedLoop, "fill", counted)
     collocated = SQUARE_POINTS.copy()
     collocated[3] = collocated[2]
     ctx = assemble(_square_scenario(initial_config=Configuration(collocated)))
     with pytest.raises(DegenerateVector, match="agents 2 and 3"):
         run(ctx)
-    # far past RK4's stability limit the state overflows to inf, then nan
-    ctx = assemble(
-        _square_scenario(gains=Gains(k_p=1e3, k_i=1.0), dt=0.1, duration=10.0)
-    )
+    assert calls == []
+    # far past RK4's stability limit the state overflows to inf, then nan,
+    # within the first of the 8 blocks of 1,000 steps
+    ctx = assemble(_square_scenario(
+        gains=Gains(k_p=1e3, k_i=1.0), dt=0.1, duration=100.0,
+        schedule=(Segment(0.0, 100.0, np.array([0.2, 0.0])),),
+    ))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             run(ctx)
+    assert len(calls) == 1
 
 
 def _stage_rk4_run(ctx):
