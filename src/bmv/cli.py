@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import (
+    BLOCK_STEPS,
     Gains,
     HurwitzReport,
     closed_loop_spectrum,
@@ -150,6 +151,11 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         agent_id = entry.get("id")
         if not isinstance(agent_id, str) or not agent_id:
             raise _fail(origin, f"{where}.id", f"expected a non-empty string, got {agent_id!r}")
+        try:
+            agent_id.encode("utf-8")  # it heads CSV columns, which are UTF-8
+        except UnicodeEncodeError:
+            raise _fail(origin, f"{where}.id",
+                        f"expected text UTF-8 can encode, got {agent_id!r}") from None
         if agent_id in seen_ids:
             raise _fail(origin, f"{where}.id", f"duplicate agent id {agent_id!r}")
         seen_ids.add(agent_id)
@@ -303,19 +309,26 @@ def _finite(value: float) -> float | None:
 
 
 def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
-    """Write every ``decimate``-th sample and the final one, a row each."""
-    samples = len(columns[0])
-    rows = sorted({*range(0, samples, decimate), samples - 1})
-    table = np.column_stack([column[rows] for column in columns])
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row.tolist())) for row in table]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, then every ``decimate``-th sample and the final one, a
+    row each, as UTF-8.  The rows are formatted and written BLOCK_STEPS at a
+    time, so the text held is one block's, however long the file."""
+    last = len(columns[0]) - 1
+    step = min(decimate, max(last, 1))  # the same rows, and the indices stay integers
+    rows = range(0, last + step, step)  # its final index, clamped to last, is the final sample
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(rows), BLOCK_STEPS):
+            picked = np.minimum(rows[start : start + BLOCK_STEPS], last)
+            table = np.column_stack([column[picked] for column in columns])
+            out.write("".join([",".join(map(repr, row)) + "\n" for row in table.tolist()]))
 
 
 def write_trajectory_csv(
     path: Path, traj: Trajectory, labels: tuple[str, ...], decimate: int = 1
 ) -> None:
-    """Full-precision CSV; repr of each float guarantees exact round-trips."""
+    """Write the kept samples of ``traj`` as trajectory.csv: every ``decimate``-th
+    and the final one, each value the repr of a float, which round-trips
+    exactly.  Memory beyond ``traj`` is one block of rows (see _write_csv)."""
     axes = AXES[: traj.d]
     header = ["t", *(f"{label}_{axis}" for label in labels for axis in axes), "bearing_error",
               "tracking_error", *(f"centroid_{axis}" for axis in axes), "scale"]
@@ -479,7 +492,7 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
     summary = _json(build_summary(ctx, traj, spectrum))
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
-    (outdir / "summary.json").write_text(summary + "\n")
+    (outdir / "summary.json").write_text(summary + "\n", encoding="utf-8")
     if dump_xi:
         axes = AXES[: traj.d]
         header = ["t"] + [f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes]

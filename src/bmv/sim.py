@@ -28,6 +28,7 @@ import numpy as np
 
 from .controller import BLOCK_STEPS, ClosedLoop, Gains
 from .errors import (
+    DegenerateVector,
     DimensionMismatch,
     NotLocalizable,
     NotRigid,
@@ -360,10 +361,32 @@ def _measure(ctx: SimContext, positions: np.ndarray, out: dict[str, np.ndarray],
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions contain non-finite entries")
     pts = positions.reshape(len(positions), ctx.graph.n, ctx.graph.d)
-    mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+    try:
+        mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+    except DegenerateVector as exc:
+        raise _collocation(ctx, pts, exc) from None
     out["bearing_error"][rows] = np.sqrt(sum_squares(mismatch)).sum(axis=-1)
     out["centroid"][rows] = pts.mean(axis=1)
     out["scale"][rows] = rms_radius(pts)
+
+
+def _collocation(ctx: SimContext, pts: np.ndarray, exc: DegenerateVector) -> DegenerateVector:
+    """``exc``, which edge_bearings raised on the formations ``pts``, with the two
+    agents' distance and the longest edge, as a multiple of the reference
+    formation's, in the first formation it refuses: a run that diverges
+    shows as an edge stretched far past the reference, not a short one."""
+    for points in pts:
+        try:
+            edge_bearings(ctx.graph, points)
+        except DegenerateVector:
+            break
+    ends = ctx.graph.edge_array
+    longest = [np.sqrt(sum_squares(p[ends[:, 1]] - p[ends[:, 0]])).max()
+               for p in (points, ctx.scenario.reference_config.points)]
+    i, j = exc.agents
+    return DegenerateVector(f"{exc}: {math.dist(points[i], points[j]):.3g} apart, with the "
+                            f"longest edge {longest[0] / longest[1]:.3g} times the reference "
+                            f"formation's", agents=exc.agents)
 
 
 def run(ctx: SimContext, every: int = 1) -> Trajectory:

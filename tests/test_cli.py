@@ -35,6 +35,7 @@ from bmv.cli import (
     main,
     parse_scenario,
     scenario_document,
+    write_trajectory_csv,
 )
 from bmv.controller import GAIN_LIMIT
 
@@ -270,6 +271,18 @@ def test_load_scenario_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate key 'duration'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "spectrum", "run"])
+def test_an_id_utf8_cannot_encode_is_refused_at_parse(tmp_path, capsys, command):
+    # a lone surrogate, written as a JSON escape, could not head a CSV column
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(small_doc()).replace('"c"', '"\\ud800"'))
+    flags = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *flags]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}: agents[2].id: expected text UTF-8 can encode, got '\\ud800'\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _with_initial(doc):
     for agent in doc["agents"]:
         agent["initial"] = list(doc["reference_positions"][agent["id"]])
@@ -426,6 +439,42 @@ def test_decimate_leaves_samples_and_decay_fit_alone(scenario_file, tmp_path):
         assert kept_times == times[:1] + times[1::7] + times[-1:]
 
 
+@pytest.mark.parametrize("k", [7, 1002, 2**64])
+def test_write_trajectory_csv_keeps_every_kth_line_and_the_last(scenario_file, tmp_path, k):
+    # the writer's own decimation, on one Trajectory of 1001 samples: 7 does
+    # not divide the 1000 steps, and the others are past the sample count
+    loaded = load_scenario(scenario_file)
+    traj = run(assemble(loaded.scenario))
+    write_trajectory_csv(tmp_path / "all.csv", traj, loaded.labels)
+    write_trajectory_csv(tmp_path / "kept.csv", traj, loaded.labels, k)
+    header, *lines = (tmp_path / "all.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1001
+    assert (tmp_path / "kept.csv").read_bytes() == b"".join([header, *lines[:-1:k], lines[-1]])
+
+
+def test_writing_a_trajectory_holds_one_block_of_rows(tmp_path):
+    # the 2-D bundle at its dt and at --dt 2.5e-4: the file grows 4x, and the
+    # writer's allocations stay at one block of rows
+    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
+    rows, sizes, peaks = [], [], []
+    for dt in (1e-3, 2.5e-4):
+        loaded = parse_scenario({**doc, "dt": dt})
+        traj = run(assemble(loaded.scenario))
+        path = tmp_path / f"{dt}.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(path, traj, loaded.labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows.append(len(traj.times))
+        sizes.append(path.stat().st_size)
+        peaks.append(peak)
+    assert rows == [24_001, 96_001]
+    assert sizes[1] > 3.9 * sizes[0]
+    assert max(peaks) < 2 * 2**20, peaks
+
+
 @pytest.mark.parametrize("split", [4.0, 5.0])
 def test_decay_fit_ignores_a_segment_the_run_never_reaches(split):
     # the run ends at t = 4, so the fit is over the last segment it integrates
@@ -502,7 +551,8 @@ def test_a_collocation_during_a_run_names_the_agents(tmp_path, capsys):
     path.write_text(json.dumps(small_doc(agents=[{**agent, "initial": starts[agent["id"]]}
                                                  for agent in agents])))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: agents c and d are collocated (edge 2)\n"
+    assert capsys.readouterr().err == ("error: agents c and d are collocated (edge 2): 0 apart, "
+                                       "with the longest edge 1 times the reference formation's\n")
 
 
 def test_run_refuses_flexible_without_force(tmp_path, capsys):
@@ -1195,16 +1245,17 @@ def test_negative_seed_override_is_an_input_error(scenario_file, capsys, command
 # ---------------------------------------------------------------------------
 # the console script, which ends its process and so runs in a subprocess
 
-def _console(*args, stdout=subprocess.PIPE):
+def _console(*args, stdout=subprocess.PIPE, env=None):
     """Run the ``bmv`` console script: (exit code, stdout bytes, stderr text).
     Without PYTHONUNBUFFERED and the like, stdout is block-buffered on a pipe,
-    as in a shell pipeline, so the output is written by the final flush."""
+    as in a shell pipeline, so the output is written by the final flush.
+    ``env`` adds to the environment, which keeps no other PYTHON* variable."""
     src = Path(bmv.__file__).resolve().parents[1]
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    kept = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
     entry = "import sys; from bmv.cli import script_main; sys.argv[0] = 'bmv'; script_main()"
     done = subprocess.run([sys.executable, "-c", entry, *map(str, args)], stdout=stdout,
-                          stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src)},
-                          timeout=120)
+                          stderr=subprocess.PIPE,
+                          env={**kept, **(env or {}), "PYTHONPATH": str(src)}, timeout=120)
     return done.returncode, done.stdout, done.stderr.decode()
 
 
@@ -1222,6 +1273,21 @@ def test_console_run_writes_the_same_bundle(scenario_file, tmp_path):
     assert (code, err) == (EXIT_OK, "")
     for name in ("trajectory.csv", "xi.csv", "summary.json"):
         assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path):
+    # an id outside ASCII, run where the locale's encoding is ASCII
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(small_doc()).replace('"a"', '"\u03b1"'), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "main"), "--dump-xi"]) == EXIT_OK
+    ascii_only = {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    code, _, err = _console("run", path, "--out", tmp_path / "posix", "--dump-xi",
+                            env=ascii_only)
+    assert (code, err) == (EXIT_OK, "")
+    for name in ("trajectory.csv", "xi.csv", "summary.json"):
+        assert (tmp_path / "posix" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    header = (tmp_path / "posix" / "trajectory.csv").read_bytes().split(b"\n")[0]
+    assert header.startswith("t,\u03b1_x,\u03b1_y,".encode())
 
 
 def test_console_errors_end_in_one_line(tmp_path):

@@ -283,6 +283,22 @@ def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_diverging_run_shows_as_a_stretched_formation():
+    # at dt = 0.5 the followers run off; the leaders stay 1 apart, and their
+    # edge is the first to fall below 1e-12 of the stretched longest one
+    ctx = assemble(_square_scenario(
+        gains=Gains(k_p=8.0, k_i=20.0), dt=0.5, duration=20.0,
+        schedule=(Segment(0.0, 20.0, np.array([0.2, 0.0])),),
+    ))
+    with pytest.raises(DegenerateVector) as raised:
+        run(ctx)
+    message = str(raised.value)
+    prefix = "agents 0 and 1 are collocated (edge 0): 1 apart, with the longest edge "
+    assert message.startswith(prefix) and message.endswith(" times the reference formation's")
+    assert raised.value.agents == (0, 1)
+    assert float(message[len(prefix):].split()[0]) > 1e11
+
+
 def _stage_rk4_run(ctx):
     """Reference run: the schedule loop with classical RK4 written stage by
     stage on the partitioned Laplacian, independent of the simulator's model."""
