@@ -24,14 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import (
-    BLOCK_STEPS,
-    Gains,
-    HurwitzReport,
-    closed_loop_spectrum,
-    largest_stable_step,
-    step_amplification,
-)
+from .controller import BLOCK_STEPS, Gains
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph
 from .maneuver import scale
@@ -151,11 +144,12 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         agent_id = entry.get("id")
         if not isinstance(agent_id, str) or not agent_id:
             raise _fail(origin, f"{where}.id", f"expected a non-empty string, got {agent_id!r}")
-        try:
-            agent_id.encode("utf-8")  # it heads CSV columns, which are UTF-8
-        except UnicodeEncodeError:
+        # it heads CSV columns, which are UTF-8 and join ids unquoted
+        if any("\ud800" <= c <= "\udfff" for c in agent_id):  # lone surrogates
+            raise _fail(origin, f"{where}.id", f"expected text UTF-8 can encode, got {agent_id!r}")
+        if not set(agent_id).isdisjoint(',"\r\n'):
             raise _fail(origin, f"{where}.id",
-                        f"expected text UTF-8 can encode, got {agent_id!r}") from None
+                        f"expected no comma, quote or line break, got {agent_id!r}")
         if agent_id in seen_ids:
             raise _fail(origin, f"{where}.id", f"duplicate agent id {agent_id!r}")
         seen_ids.add(agent_id)
@@ -336,21 +330,18 @@ def write_trajectory_csv(
                               traj.tracking_error, traj.centroid, traj.scale], decimate)
 
 
-def _spectrum(ctx: SimContext) -> tuple[HurwitzReport, dict]:
-    """The closed-loop spectrum, and what ``bmv spectrum`` prints of it: the
-    eigenvalues, the stability verdict, the convergence horizon and RK4's
-    largest factor per step of dt (above 1 a run diverges)."""
-    report = closed_loop_spectrum(ctx.laplacian.localizability.eigenvalues, ctx.scenario.gains)
-    horizon = None
-    if report.is_hurwitz and math.isfinite(report.max_real_part):
-        horizon = 12.0 / abs(report.max_real_part)
-    return report, {
+def _spectrum(ctx: SimContext) -> dict:
+    """What ``bmv spectrum`` prints of ``ctx.loop.spectrum``: the eigenvalues, the
+    stability verdict, the convergence horizon and ``ctx.loop.amplification``."""
+    report = ctx.loop.spectrum
+    slowest = report.max_real_part
+    return {
         "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
-        "max_real_part": _finite(report.max_real_part),
+        "max_real_part": _finite(slowest),
         "is_hurwitz": report.is_hurwitz,
-        "convergence_horizon": horizon,
-        "max_step_amplification": _finite(step_amplification(report.eigenvalues,
-                                                             ctx.scenario.dt)),
+        "convergence_horizon":
+            12.0 / abs(slowest) if report.is_hurwitz and math.isfinite(slowest) else None,
+        "max_step_amplification": _finite(ctx.loop.amplification),
     }
 
 
@@ -359,13 +350,12 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
-def build_summary(ctx: SimContext, traj: Trajectory, spectrum: dict | None = None) -> dict:
-    """The summary.json document; ``spectrum`` is the report of ``_spectrum(ctx)``,
-    built here when not given."""
+def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
+    """The summary.json document of the run ``traj`` of ``ctx``."""
     scenario = ctx.scenario
     graph = scenario.graph
     loc = ctx.laplacian.localizability
-    spectrum = dict(_spectrum(ctx)[1] if spectrum is None else spectrum)
+    spectrum = _spectrum(ctx)
     amplification = spectrum.pop("max_step_amplification")
     fit = None if traj.decay is None else {"rate": traj.decay.rate,
                                            "r_squared": traj.decay.r_squared}
@@ -473,23 +463,11 @@ def cmd_check(args) -> int:
 
 def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
     """Load, check and integrate one scenario, and write its bundle:
-    trajectory.csv, summary.json and, with ``dump_xi``, xi.csv.
-
-    Raises ValueError before integrating when RK4 at the scenario's dt
-    would amplify a mode.
-    """
+    trajectory.csv, summary.json and, with ``dump_xi``, xi.csv.  ``run``
+    refuses an unstable dt before anything is written."""
     ctx, labels = _context(path, args)
-    report, spectrum = _spectrum(ctx)
-    amplification = spectrum["max_step_amplification"]
-    if amplification is None or amplification > 1.0:
-        dt = ctx.scenario.dt
-        raise ValueError(
-            f"dt = {dt:g} is unstable: one RK4 step multiplies a mode by up to "
-            f"{amplification or math.inf:.4g}; the largest stable dt is about "
-            f"{largest_stable_step(report.eigenvalues, dt):.4g}"
-        )
     traj = _named(labels, run, ctx, args.decimate)
-    summary = _json(build_summary(ctx, traj, spectrum))
+    summary = _json(build_summary(ctx, traj))
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
     (outdir / "summary.json").write_text(summary + "\n", encoding="utf-8")
@@ -513,7 +491,7 @@ def cmd_run(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ctx, _ = _context(args.scenario, args)
-    print(_json(_spectrum(ctx)[1]))
+    print(_json(_spectrum(ctx)))
     return EXIT_OK
 
 

@@ -132,6 +132,16 @@ class ClosedLoop:
         return table
 
     @cached_property
+    def spectrum(self) -> HurwitzReport:
+        """The closed-loop spectrum, from mu (see closed_loop_spectrum)."""
+        return closed_loop_spectrum(self.lap.modes[0], self.gains)
+
+    @cached_property
+    def amplification(self) -> float:
+        """step_amplification of the spectrum at dt: above 1, stepping diverges."""
+        return step_amplification(self.spectrum.eigenvalues, self.dt)
+
+    @cached_property
     def _dt_powers(self) -> np.ndarray:
         return self._powers(self.dt, BLOCK_STEPS)
 

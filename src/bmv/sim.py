@@ -11,10 +11,12 @@ counted once from its span, the last one landing on its end.  Within a
 segment the closed loop is one linear system with constant input, stepped
 mode by mode along the eigenvectors of the follower block, a block of equal
 steps at a time (see controller.ClosedLoop); leader paths are integrated
-exactly and two runs of the same scenario agree bit for bit.  The tracking
-error is read at every step.  The kept samples of each block are turned back
-and measured as soon as the block is integrated, so a run stops at the first
-block whose kept samples are non-finite or collocated.
+exactly and two runs of the same scenario agree bit for bit.  The loop is
+stable for any gains, but RK4 only below a step bound: a run refuses a longer
+dt before it integrates.  The tracking error is read at every step.  The kept
+samples of each block are turned back and measured as soon as the block is
+integrated, so a run stops at the first block whose kept samples are
+non-finite, too large to square or collocated.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import BLOCK_STEPS, ClosedLoop, Gains
+from .controller import BLOCK_STEPS, ClosedLoop, Gains, largest_stable_step
 from .errors import (
     DegenerateVector,
     DimensionMismatch,
@@ -355,19 +357,22 @@ def _measure(ctx: SimContext, positions: np.ndarray, out: dict[str, np.ndarray],
     """Write the bearing error, centroid and scale of stacked positions into
     out[name][rows].
 
-    Raises ValueError on non-finite positions and DegenerateVector on
-    collocated neighbours.
+    Raises ValueError on non-finite positions or ones whose squares overflow,
+    and DegenerateVector on collocated neighbours.
     """
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions contain non-finite entries")
     pts = positions.reshape(len(positions), ctx.graph.n, ctx.graph.d)
     try:
-        mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+        with np.errstate(over="raise"):
+            mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+            out["bearing_error"][rows] = np.sqrt(sum_squares(mismatch)).sum(axis=-1)
+            out["centroid"][rows] = pts.mean(axis=1)
+            out["scale"][rows] = rms_radius(pts)
     except DegenerateVector as exc:
         raise _collocation(ctx, pts, exc) from None
-    out["bearing_error"][rows] = np.sqrt(sum_squares(mismatch)).sum(axis=-1)
-    out["centroid"][rows] = pts.mean(axis=1)
-    out["scale"][rows] = rms_radius(pts)
+    except FloatingPointError:
+        raise ValueError("the run diverged: its positions grew too large to square") from None
 
 
 def _collocation(ctx: SimContext, pts: np.ndarray, exc: DegenerateVector) -> DegenerateVector:
@@ -400,16 +405,23 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     integrated, above 1e-13 of the reference formation's scale.  The kept
     samples also get the total bearing mismatch and the formation's centroid
     and scale, measured block by block as the run goes: the first block
-    whose kept samples are non-finite (ValueError) or collocated
-    (DegenerateVector) ends the run there.  Raises ValueError before
-    integrating when every step's state would exceed MAX_RUN_ELEMENTS floats.
+    whose kept samples are non-finite or too large to square (ValueError), or
+    collocated (DegenerateVector), ends the run there.  Raises ValueError
+    before integrating when RK4 at the scenario dt would amplify a mode of the
+    closed loop (see ClosedLoop.amplification), naming the largest stable dt,
+    and when every step's state would exceed MAX_RUN_ELEMENTS floats.
     """
     if every < 1:
         raise ValueError(f"every must be at least 1, got {every}")
+    dt, loop = ctx.scenario.dt, ctx.loop
+    if loop.amplification > 1.0:
+        raise ValueError(f"dt = {dt:g} is unstable: one RK4 step multiplies a mode by up to "
+                         f"{loop.amplification:.4g}; the largest stable dt is about "
+                         f"{largest_stable_step(loop.spectrum.eigenvalues, dt):.4g}")
     graph = ctx.graph
     nd = graph.n * graph.d
     width = nd + graph.d * graph.n_followers
-    spans = [max(0.0, seg.window[1] - seg.window[0]) / ctx.scenario.dt for seg in ctx.segments]
+    spans = [max(0.0, seg.window[1] - seg.window[0]) / dt for seg in ctx.segments]
     # bounded before it becomes an integer: the span of a subnormal dt is inf
     counts = [math.ceil(min(span, MAX_RUN_ELEMENTS) - TIME_TOL) for span in spans]
     steps = sum(counts)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import csv
 import io
 import json
 import math
@@ -30,6 +31,7 @@ from bmv.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     VALIDATION_ERRORS,
+    build_summary,
     bundled_scenario_path,
     load_scenario,
     main,
@@ -283,6 +285,32 @@ def test_an_id_utf8_cannot_encode_is_refused_at_parse(tmp_path, capsys, command)
     assert not (tmp_path / "o").exists()
 
 
+def _relabelled(doc, ids):
+    """doc with its agents, in the order listed, renamed ids[0], ids[1], ..."""
+    names = dict(zip([agent["id"] for agent in doc["agents"]], ids))
+    doc = json.loads(json.dumps(doc))
+    for agent in doc["agents"]:
+        agent["id"] = names[agent["id"]]
+    doc["reference_positions"] = {names[k]: p for k, p in doc["reference_positions"].items()}
+    doc["edges"] = [[names[i], names[j]] for i, j in doc["edges"]]
+    return doc
+
+
+@pytest.mark.parametrize("id_", ["c,1", '"c', 'c"1', "c\r", "\nc"])
+@pytest.mark.parametrize("command", ["check", "spectrum", "run"])
+def test_an_id_that_would_split_a_csv_column_is_refused_at_parse(tmp_path, capsys, command,
+                                                                 id_):
+    # the CSV headers join the ids unquoted, so a comma, a quote or a line
+    # break in one would leave the header and the rows different widths
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(_relabelled(small_doc(), ["a", "b", id_, "d"])))
+    flags = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *flags]) == EXIT_INPUT
+    assert capsys.readouterr().err == (f"error: {path}: agents[2].id: expected no comma, "
+                                       f"quote or line break, got {id_!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _with_initial(doc):
     for agent in doc["agents"]:
         agent["initial"] = list(doc["reference_positions"][agent["id"]])
@@ -295,7 +323,8 @@ def scenario_documents(draw):
     d = draw(st.integers(2, 3))
     n = draw(st.integers(2, 5))
     n_leaders = draw(st.integers(1, n))
-    labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
+    label = st.text(st.characters(exclude_characters=',"\r\n'), min_size=1, max_size=4)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     positive = st.floats(min_value=1e-6, max_value=1e6)
     point = st.lists(st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT), min_size=d, max_size=d)
@@ -624,19 +653,23 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
 
 
 def test_run_and_spectrum_build_the_spectrum_once(tmp_path, monkeypatch):
-    # run checks the step and writes the summary from the same report
+    # the closed loop builds it once: run checks the step, and the summary
+    # reads the same report, as does a library run followed by build_summary
     calls = []
 
     def counted(mu, gains):
         calls.append(gains)
         return closed_loop_spectrum(mu, gains)
 
-    monkeypatch.setattr(bmv.cli, "closed_loop_spectrum", counted)
+    monkeypatch.setattr(bmv.controller, "closed_loop_spectrum", counted)
     path = str(bundled_scenario_path("narrow_passage_2d"))
     assert main(["run", path, "--out", str(tmp_path / "out"), "--decimate", "100"]) == EXIT_OK
     assert len(calls) == 1
     assert main(["spectrum", path]) == EXIT_OK
     assert len(calls) == 2
+    ctx = assemble(load_scenario(path).scenario)
+    build_summary(ctx, run(ctx, 100))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
@@ -948,7 +981,7 @@ def test_a_non_finite_value_ends_in_one_line_not_invalid_json(scenario_file, tmp
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "o").exists()
     stuck = HurwitzReport(False, 0.0, np.array([complex(math.nan, 1.0)]))
-    monkeypatch.setattr(bmv.cli, "closed_loop_spectrum", lambda mu, gains: stuck)
+    monkeypatch.setattr(bmv.controller, "closed_loop_spectrum", lambda mu, gains: stuck)
     assert main(["spectrum", str(scenario_file)]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -961,7 +994,8 @@ GAINS = st.floats(-323.3, math.log10(GAIN_LIMIT)).map(lambda e: 10.0 ** e)
 @st.composite
 def cli_calls(draw):
     """``run`` or ``spectrum`` on the unit square, drawn at any size, gains,
-    dt and leader motion, over a run of at most a few hundred steps."""
+    dt and leader motion, over a run of at most a few hundred steps, its
+    agents named by any text, lone surrogates included."""
     size = 10.0 ** draw(st.floats(-100.0, math.log10(COORDINATE_LIMIT)))
     dt = 10.0 ** draw(st.floats(-6.0, 0.0))
     duration = dt * draw(st.floats(0.5, 300.0))
@@ -974,14 +1008,20 @@ def cli_calls(draw):
                    "scale_rate": draw(st.floats(-1.0, 1.0))}],
         dt=dt, duration=duration,
     )
+    ids = st.text(st.characters(exclude_categories=()), min_size=1, max_size=4)
+    doc = _relabelled(doc, draw(st.lists(ids, min_size=4, max_size=4, unique=True)))
     if draw(st.booleans()):
         return doc, ["spectrum"]
     return doc, ["run", "--dump-xi", "--decimate", str(draw(st.integers(1, 5)))]
 
 
-def _finite_csv(path):
-    rows = path.read_text().splitlines()[1:]
-    return np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
+def _finite_table(path):
+    """Whether the CSV at path reads back as a table of finite values under a
+    header as wide as every row."""
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    return (all(len(row) == len(header) for row in rows)
+            and np.all(np.isfinite(np.array(rows, dtype=float))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -989,9 +1029,12 @@ def _finite_csv(path):
 @example(call=(UNDAMPED, ["run", "--dump-xi"]))
 @example(call=(BARELY_STABLE[0], ["spectrum"]))
 @example(call=(BARELY_STABLE[1], ["spectrum"]))
+@example(call=(_relabelled(small_doc(), ["a", "b", "c,1", "d"]), ["run", "--dump-xi"]))
 def test_every_input_ends_in_a_bundle_or_one_line(call):
-    # exit 0 with finite CSV columns and strict JSON, or exit 1 or 2 with
-    # exactly one line on stderr; never a warning and never a traceback
+    # exit 0 with finite CSV tables and strict JSON, or exit 1 or 2 with
+    # exactly one line on stderr; never a warning and never a traceback.  A
+    # library run of the same scenario succeeds when bmv run does, and ends
+    # in the same line when bmv run refuses the dt.
     doc, (command, *flags) = call
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1002,6 +1045,9 @@ def test_every_input_ends_in_a_bundle_or_one_line(call):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([command, str(path), *flags])
+        if command == "run":
+            every = bmv.cli.build_parser().parse_args([command, str(path), *flags]).decimate
+            _library_run_agrees(path, every, code, stderr.getvalue())
         if code != EXIT_OK:
             assert code in (EXIT_VALIDATION, EXIT_INPUT)
             assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith("error: ")
@@ -1011,7 +1057,33 @@ def test_every_input_ends_in_a_bundle_or_one_line(call):
             json.loads(stdout.getvalue(), parse_constant=_no_constant)
             return
         json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
-        assert _finite_csv(out / "trajectory.csv") and _finite_csv(out / "xi.csv")
+        assert _finite_table(out / "trajectory.csv") and _finite_table(out / "xi.csv")
+
+
+def _library_run_agrees(path, every, code, stderr):
+    """A library run of the scenario at path, kept every ``every`` steps, ends
+    as ``bmv run`` did with exit ``code`` and ``stderr``: it succeeds when the
+    command did, and raises the command's line when it refused the dt."""
+    if code == EXIT_OK:
+        run(assemble(load_scenario(path).scenario), every)
+    elif (code == EXIT_VALIDATION and stderr.startswith("error: dt = ")
+          and " is unstable: " in stderr):
+        with pytest.raises(ValueError) as raised:
+            run(assemble(load_scenario(path).scenario), every)
+        assert f"error: {raised.value}\n" == stderr
+
+
+def test_a_library_run_refuses_the_dt_bmv_run_refuses(tmp_path, capsys):
+    # the 2-D bundle at dt = 0.2, past RK4's step bound, integrates nothing
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(bundle_doc(dt=0.2)))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt = 0.2 is unstable: one RK4 step multiplies a mode by up to ")
+    assert err.endswith("; the largest stable dt is about 0.07533\n")
+    with pytest.raises(ValueError) as raised:
+        run(assemble(load_scenario(path).scenario))
+    assert f"error: {raised.value}\n" == err
 
 
 class Symmetry(NamedTuple):

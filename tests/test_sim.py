@@ -30,6 +30,7 @@ from bmv import (
     step,
     target_follower_positions,
 )
+from bmv.sim import COORDINATE_LIMIT
 from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
@@ -254,49 +255,100 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.bearing_error, b.bearing_error)
 
 
-def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
-    # the kept samples are measured block by block, so a run stops at the
-    # first block that holds a bad one: a collocated start before any block
+def _counted_fill(monkeypatch, injected=None):
+    """Count the calls of ClosedLoop.fill, and let ``injected`` rewrite in place
+    the rows [p_l, q, eta] each call fills."""
     fill = ClosedLoop.fill
     calls = []
 
-    def counted(self, *args):
+    def counted(self, block, *args):
         calls.append(None)
-        fill(self, *args)
+        fill(self, block, *args)
+        if injected is not None:
+            injected(block[1:])
 
     monkeypatch.setattr(ClosedLoop, "fill", counted)
+    return calls
+
+
+def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
+    # the kept samples are measured block by block, so a run stops at the
+    # first block that holds a bad one: a collocated start before any block
+    calls = _counted_fill(monkeypatch)
     collocated = SQUARE_POINTS.copy()
     collocated[3] = collocated[2]
     ctx = assemble(_square_scenario(initial_config=Configuration(collocated)))
     with pytest.raises(DegenerateVector, match="agents 2 and 3"):
         run(ctx)
     assert calls == []
-    # far past RK4's stability limit the state overflows to inf, then nan,
-    # within the first of the 8 blocks of 1,000 steps
+    # a dt far past RK4's stability limit is refused before any block
     ctx = assemble(_square_scenario(
         gains=Gains(k_p=1e3, k_i=1.0), dt=0.1, duration=100.0,
         schedule=(Segment(0.0, 100.0, np.array([0.2, 0.0])),),
     ))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            run(ctx)
+    with pytest.raises(ValueError, match=r"^dt = 0\.1 is unstable: one RK4 step multiplies a "
+                                         r"mode by up to .*; the largest stable dt is about "):
+        run(ctx)
+    assert calls == []
+
+    def poisoned(rows):
+        rows[5] = np.nan
+
+    # a state gone non-finite in the first of the 16 blocks ends the run there
+    calls = _counted_fill(monkeypatch, poisoned)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(assemble(_square_scenario()))
     assert len(calls) == 1
 
 
-def test_a_diverging_run_shows_as_a_stretched_formation():
-    # at dt = 0.5 the followers run off; the leaders stay 1 apart, and their
-    # edge is the first to fall below 1e-12 of the stretched longest one
-    ctx = assemble(_square_scenario(
-        gains=Gains(k_p=8.0, k_i=20.0), dt=0.5, duration=20.0,
-        schedule=(Segment(0.0, 20.0, np.array([0.2, 0.0])),),
-    ))
+def test_a_diverging_run_shows_as_a_stretched_formation(monkeypatch):
+    # at dt = 0.5 the followers would run off, so the run refuses that dt
+    calls = _counted_fill(monkeypatch)
+    diverging = dict(gains=Gains(k_p=8.0, k_i=20.0), dt=0.5, duration=20.0,
+                     schedule=(Segment(0.0, 20.0, np.array([0.2, 0.0])),))
+    with pytest.raises(ValueError, match=r"^dt = 0\.5 is unstable: "):
+        run(assemble(_square_scenario(**diverging)))
+    assert calls == []
+
+    def stretched(rows):
+        rows[:, 4:8] *= 1e13  # q, the followers in their modal basis
+
+    # followers stretched 1e13 times off at a stable dt: the leaders stay 1
+    # apart, and their edge is the first to fall below 1e-12 of the longest
+    calls = _counted_fill(monkeypatch, stretched)
     with pytest.raises(DegenerateVector) as raised:
-        run(ctx)
+        run(assemble(_square_scenario(**{**diverging, "dt": 0.05})))
     message = str(raised.value)
     prefix = "agents 0 and 1 are collocated (edge 0): 1 apart, with the longest edge "
     assert message.startswith(prefix) and message.endswith(" times the reference formation's")
     assert raised.value.agents == (0, 1)
     assert float(message[len(prefix):].split()[0]) > 1e11
+    assert len(calls) == 1
+
+
+def test_positions_too_large_to_square_end_the_run_in_one_error(monkeypatch):
+    # finite states whose squares overflow name the divergence, rather than
+    # warning from numpy (an error under this suite's filterwarnings)
+    def grown(rows):
+        rows *= 1e200
+
+    calls = _counted_fill(monkeypatch, grown)
+    with pytest.raises(ValueError) as raised:
+        run(assemble(_square_scenario()))
+    assert str(raised.value) == "the run diverged: its positions grew too large to square"
+    assert len(calls) == 1
+
+
+def test_a_run_just_past_the_coordinate_limit_completes():
+    # the limit bounds what a scenario gives, not what a run may reach: the
+    # unit square at 1e150 stays where it is, its followers a little beyond
+    ctx = assemble(_square_scenario(
+        reference_config=Configuration(COORDINATE_LIMIT * SQUARE_POINTS), duration=0.5,
+        schedule=(Segment(0.0, 0.5, np.zeros(2)),),
+    ))
+    traj = run(ctx)
+    assert np.abs(traj.positions).max() > 1.01 * COORDINATE_LIMIT
+    assert np.all(np.isfinite(traj.bearing_error)) and np.all(np.isfinite(traj.scale))
 
 
 def _stage_rk4_run(ctx):
