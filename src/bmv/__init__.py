@@ -32,7 +32,9 @@ from .formation import (
     Configuration,
     FormationGraph,
     bearing_function,
+    combined_command,
     desired_bearing,
+    scale,
 )
 from .laplacian import (
     BearingLaplacian,
@@ -40,10 +42,6 @@ from .laplacian import (
     bearing_laplacian,
     check_localizable,
     target_follower_positions,
-)
-from .maneuver import (
-    combined_command,
-    scale,
 )
 from .rigidity import (
     RigidityReport,

@@ -26,8 +26,7 @@ import numpy as np
 
 from .controller import BLOCK_STEPS, Gains
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
-from .formation import Configuration, FormationGraph
-from .maneuver import scale
+from .formation import Configuration, FormationGraph, scale
 from .sim import (
     COORDINATE_LIMIT,
     DEFAULT_DT,
@@ -152,6 +151,11 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
                         f"expected no comma, quote or line break, got {agent_id!r}")
         if agent_id in seen_ids:
             raise _fail(origin, f"{where}.id", f"duplicate agent id {agent_id!r}")
+        # two ids' columns never coincide, since each column ends in its axis
+        columns = _trajectory_header((agent_id,), d)
+        if len(set(columns)) < len(columns):
+            raise _fail(origin, f"{where}.id",
+                        f"{agent_id!r} would repeat a column of trajectory.csv")
         seen_ids.add(agent_id)
         role = entry.get("role")
         if role not in ("leader", "follower"):
@@ -173,15 +177,20 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
         for label in labels
     ]
 
-    edges = []
+    edges: dict[tuple[int, int], None] = {}  # in file order, tail first
     for k, pair in enumerate(_as_list(doc["edges"], origin, "edges", "id pairs")):
         where = f"edges[{k}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(origin, where, f"expected a pair of agent ids, got {pair!r}")
         try:
-            edges.append((index_of[pair[0]], index_of[pair[1]]))
+            i, j = sorted((index_of[pair[0]], index_of[pair[1]]))
         except (KeyError, TypeError):
             raise _fail(origin, where, f"unknown agent id in {pair!r}") from None
+        if i == j:
+            raise _fail(origin, where, f"self-loop at agent {pair[0]!r}")
+        if (i, j) in edges:
+            raise _fail(origin, where, f"duplicate edge between {pair[0]!r} and {pair[1]!r}")
+        edges[i, j] = None
 
     raw_gains = _as_object(doc.get("gains", {}), origin, "gains", ("kp", "ki"))
     kp = _as_number(raw_gains.get("kp", DEFAULT_GAINS.k_p), origin, "gains.kp")
@@ -317,17 +326,26 @@ def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
             out.write("".join([",".join(map(repr, row)) + "\n" for row in table.tolist()]))
 
 
+def _columns(labels, d: int) -> list[str]:
+    """A column name per coordinate of each of ``labels`` in d dimensions."""
+    return [f"{label}_{axis}" for label in labels for axis in AXES[:d]]
+
+
+def _trajectory_header(labels, d: int) -> list[str]:
+    """The column names of trajectory.csv for agents ``labels``."""
+    return ["t", *_columns(labels, d), "bearing_error", "tracking_error",
+            *_columns(["centroid"], d), "scale"]
+
+
 def write_trajectory_csv(
     path: Path, traj: Trajectory, labels: tuple[str, ...], decimate: int = 1
 ) -> None:
     """Write the kept samples of ``traj`` as trajectory.csv: every ``decimate``-th
     and the final one, each value the repr of a float, which round-trips
     exactly.  Memory beyond ``traj`` is one block of rows (see _write_csv)."""
-    axes = AXES[: traj.d]
-    header = ["t", *(f"{label}_{axis}" for label in labels for axis in axes), "bearing_error",
-              "tracking_error", *(f"centroid_{axis}" for axis in axes), "scale"]
-    _write_csv(path, header, [traj.times, traj.positions, traj.bearing_error,
-                              traj.tracking_error, traj.centroid, traj.scale], decimate)
+    _write_csv(path, _trajectory_header(labels, traj.d),
+               [traj.times, traj.positions, traj.bearing_error, traj.tracking_error,
+                traj.centroid, traj.scale], decimate)
 
 
 def _spectrum(ctx: SimContext) -> dict:
@@ -472,8 +490,7 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
     write_trajectory_csv(outdir / "trajectory.csv", traj, labels)
     (outdir / "summary.json").write_text(summary + "\n", encoding="utf-8")
     if dump_xi:
-        axes = AXES[: traj.d]
-        header = ["t"] + [f"{label}_{axis}" for label in labels[traj.n_leaders :] for axis in axes]
+        header = ["t", *_columns(labels[traj.n_leaders :], traj.d)]
         _write_csv(outdir / "xi.csv", header, [traj.times, traj.xi], 1)
     return traj
 

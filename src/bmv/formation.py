@@ -2,7 +2,8 @@
 
 A formation is an interaction graph plus a configuration of agent positions.
 The quantities everything else is built from live here: unit bearing vectors
-along edges and the stacked bearing map of a whole formation.
+along edges, the stacked bearing map of a whole formation, its scale, the
+edge-weighted Laplacian, and the leader velocities of a maneuver.
 
 Arrays held by these types are read-only and every attribute is set once,
 in ``__init__``; operations are pure functions on them.
@@ -116,15 +117,6 @@ class Configuration:
         pts.setflags(write=False)
         self.points = pts
 
-    @classmethod
-    def from_stacked(cls, stacked, d: int) -> "Configuration":
-        vec = np.asarray(stacked, dtype=float).reshape(-1)
-        if d < 1 or vec.size % d != 0:
-            raise DimensionMismatch(
-                f"stacked length {vec.size} is not a multiple of d={d}"
-            )
-        return cls(vec.reshape(-1, d))
-
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -166,7 +158,8 @@ class BearingSpec:
     @classmethod
     def from_configuration(cls, graph: FormationGraph, config: Configuration) -> "BearingSpec":
         """Read the bearings off an existing configuration."""
-        return cls(bearing_function(graph, config).reshape(graph.m, graph.d))
+        ensure_compatible(graph, config)
+        return cls(edge_bearings(graph, config.points))
 
     @property
     def m(self) -> int:
@@ -219,6 +212,44 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def scale(config: Configuration) -> float:
+    """Root-mean-square distance of the agents from their centroid."""
+    return float(rms_radius(config.points))
+
+
+def rms_radius(points: np.ndarray) -> np.ndarray:
+    """``scale`` of positions shaped (..., n, d), one value per formation."""
+    offsets = points - points.mean(axis=-2, keepdims=True)
+    return np.sqrt(np.mean(sum_squares(offsets), axis=-1))
+
+
+def combined_command(
+    v_c, reference_config: Configuration, n_leaders: int, rate: float
+) -> np.ndarray:
+    """Stacked leader velocities v_c + rate * (p_i - c), length d*n_leaders.
+
+    Translation and scaling superposed; either part may be zero.  p_i runs
+    over the first ``n_leaders`` agents of ``reference_config``, the target
+    formation when the command is issued, and c is its centroid.  Because the
+    offsets p_i - c of a translating, rescaling formation only change in
+    length, one constant command steers the formation for a whole segment:
+    the centroid drifts at exactly v_c and the scale ramps at rate times the
+    starting scale.
+    """
+    v = np.array(v_c, dtype=float).reshape(-1)
+    ref = reference_config
+    if v.size != ref.d:
+        raise DimensionMismatch(
+            f"v_c has length {v.size} but the formation is {ref.d}-dimensional"
+        )
+    if not 1 <= n_leaders <= ref.n:
+        raise ValueError(f"got {n_leaders} leaders for a {ref.n}-agent formation")
+    if not (np.all(np.isfinite(v)) and np.isfinite(rate)):
+        raise ValueError("command contains non-finite entries")
+    offsets = ref.points[:n_leaders] - ref.points.mean(axis=0)
+    return (v + float(rate) * offsets).reshape(-1)
+
+
 def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
     """Bearings (..., m, d) of every edge for positions shaped (..., n, d).
 
@@ -242,6 +273,22 @@ def edge_bearings(graph: FormationGraph, points: np.ndarray) -> np.ndarray:
 def edge_projectors(bearings: np.ndarray) -> np.ndarray:
     """I - g g^T for every row g of the (m, d) bearings, as one (m, d, d) array."""
     return np.eye(bearings.shape[-1]) - bearings[:, :, None] * bearings[:, None, :]
+
+
+def edge_laplacian(graph: FormationGraph, blocks: np.ndarray) -> np.ndarray:
+    """The (d*n, d*n) Laplacian with the (m, d, d) edge weights ``blocks``.
+
+    Edge k = (i, j) adds blocks[k] to the diagonal blocks (i, i) and (j, j)
+    and subtracts it from (i, j) and (j, i).
+    """
+    d, n = graph.d, graph.n
+    i, j = graph.edge_array.T
+    # Each edge's blocks (i, i), (j, j), (i, j), (j, i) in turn: diagonals sum in edge order.
+    rows, cols = np.stack([i, j, i, j], axis=1), np.stack([i, j, j, i], axis=1)
+    L = np.zeros((d * n, d * n))
+    np.add.at(L.reshape(n, d, n, d), (rows.ravel(), slice(None), cols.ravel()),
+              np.stack([blocks, blocks, -blocks, -blocks], axis=1).reshape(-1, d, d))
+    return L
 
 
 def desired_bearing(graph: FormationGraph, spec: BearingSpec, i: int, j: int) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotLocalizable
-from .formation import BearingSpec, FormationGraph, edge_projectors, ensure_aligned
+from .formation import (BearingSpec, FormationGraph, edge_laplacian, edge_projectors,
+                        ensure_aligned)
 
 # Relative eigenvalue cutoff for calling the follower block positive definite.
 TAU_PD = 1e-9
@@ -118,24 +119,8 @@ def bearing_laplacian(graph: FormationGraph, spec: BearingSpec) -> BearingLaplac
     result is symmetric positive semidefinite by construction.
     """
     ensure_aligned(graph, spec)
-    L = _edge_laplacian(graph, edge_projectors(spec.vectors))
+    L = edge_laplacian(graph, edge_projectors(spec.vectors))
     return BearingLaplacian(L, graph.d, graph.n_leaders, graph.n_followers)
-
-
-def _edge_laplacian(graph: FormationGraph, blocks: np.ndarray) -> np.ndarray:
-    """The (d*n, d*n) Laplacian with the (m, d, d) edge weights ``blocks``.
-
-    Edge k = (i, j) adds blocks[k] to the diagonal blocks (i, i) and (j, j)
-    and subtracts it from (i, j) and (j, i).
-    """
-    d, n = graph.d, graph.n
-    i, j = graph.edge_array.T
-    # Each edge's blocks (i, i), (j, j), (i, j), (j, i) in turn: diagonals sum in edge order.
-    rows, cols = np.stack([i, j, i, j], axis=1), np.stack([i, j, j, i], axis=1)
-    L = np.zeros((d * n, d * n))
-    np.add.at(L.reshape(n, d, n, d), (rows.ravel(), slice(None), cols.ravel()),
-              np.stack([blocks, blocks, -blocks, -blocks], axis=1).reshape(-1, d, d))
-    return L
 
 
 def check_localizable(lap: BearingLaplacian) -> LocalizabilityResult:

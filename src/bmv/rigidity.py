@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formation import (Configuration, FormationGraph, edge_bearings, edge_projectors,
-                        ensure_compatible, sum_squares)
-from .laplacian import _edge_laplacian
+from .formation import (Configuration, FormationGraph, edge_bearings, edge_laplacian,
+                        edge_projectors, ensure_compatible, sum_squares)
 
 # Relative singular-value cutoff for the numerical rank.
 TAU_RANK = 1e-9
@@ -73,7 +72,7 @@ def _gram_singular_values(graph: FormationGraph, config: Configuration) -> np.nd
     pts, (i, j) = config.points, graph.edge_array.T
     dist2 = sum_squares(pts[j] - pts[i])
     weights = edge_projectors(edge_bearings(graph, pts)) / dist2[:, None, None]
-    gram = _edge_laplacian(graph, weights)
+    gram = edge_laplacian(graph, weights)
     centred = (pts - pts.mean(axis=0)).reshape(-1)
     basis = np.column_stack([np.tile(np.eye(d), (n, 1)) / np.sqrt(n),
                              centred / np.linalg.norm(centred)])

@@ -41,12 +41,14 @@ from .formation import (
     BearingSpec,
     Configuration,
     FormationGraph,
+    combined_command,
     edge_bearings,
     ensure_compatible,
+    rms_radius,
+    scale,
     sum_squares,
 )
-from .laplacian import BearingLaplacian, bearing_laplacian, target_follower_positions
-from .maneuver import combined_command, rms_radius, scale
+from .laplacian import BearingLaplacian, bearing_laplacian
 from .rigidity import RigidityReport, rigidity_report
 
 logger = logging.getLogger(__name__)
@@ -178,7 +180,7 @@ class Trajectory:
             _read_only, (bearing_error, tracking_error, centroid, scale))
 
     def configuration(self, k: int) -> Configuration:
-        return Configuration.from_stacked(self.positions[k], self.d)
+        return Configuration(self.positions[k].reshape(-1, self.d))
 
 
 def _read_only(values) -> np.ndarray:
@@ -236,12 +238,9 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
 
     d = graph.d
     n_l = graph.n_leaders
-    if scenario.initial_config is not None:
-        leader_stack = scenario.initial_config.points[:n_l].reshape(-1).copy()
-    else:
-        leader_stack = ref.points[:n_l].reshape(-1).copy()
+    start = ref if scenario.initial_config is None else scenario.initial_config
+    leader_stack = start.points[:n_l].reshape(-1).copy()
 
-    can_solve = localizability.localizable
     floor = SCALE_FLOOR * scale(ref)
     slack = TIME_TOL * scenario.dt
     segments = []
@@ -257,8 +256,8 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         cursor = seg.t_end
         t0, t1 = max(seg.t_start, 0.0), min(seg.t_end, scenario.duration)
         span = max(0.0, t1 - t0)
-        if can_solve:
-            followers = target_follower_positions(lap, leader_stack)
+        if localizability.localizable:
+            followers = lap.follower_map @ leader_stack
             target = Configuration(np.concatenate([leader_stack, followers]).reshape(-1, d))
         else:
             # Forced run on a non-localizable formation: fall back
@@ -277,38 +276,17 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
                 f"segment [{seg.t_start}, {seg.t_end}] would shrink the target "
                 f"scale to {min(s_start, s_end):.3e}, below the floor {floor:.3e}"
             )
-        segments.append(
-            ResolvedSegment(
-                t_start=seg.t_start,
-                t_end=seg.t_end,
-                v_c=seg.v_c,
-                leader_velocity=velocity,
-                target_start=target,
-                predicted_scale_rate=rate,
-                window=(t0, t1),
-            )
-        )
+        segments.append(ResolvedSegment(
+            t_start=seg.t_start, t_end=seg.t_end, v_c=seg.v_c, leader_velocity=velocity,
+            target_start=target, predicted_scale_rate=rate, window=(t0, t1)))
         leader_stack = end
     if cursor < scenario.duration - slack:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
-    logger.info(
-        "assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e",
-        graph.n,
-        d,
-        graph.m,
-        rigidity.rank,
-        rigidity.required_rank,
-        localizability.min_eigenvalue,
-    )
-    return SimContext(
-        scenario=scenario,
-        bearing_spec=spec,
-        laplacian=lap,
-        rigidity=rigidity,
-        segments=tuple(segments),
-        loop=ClosedLoop(lap, scenario.gains, scenario.dt),
-    )
+    logger.info("assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e", graph.n, d,
+                graph.m, rigidity.rank, rigidity.required_rank, localizability.min_eigenvalue)
+    return SimContext(scenario=scenario, bearing_spec=spec, laplacian=lap, rigidity=rigidity,
+                      segments=tuple(segments), loop=ClosedLoop(lap, scenario.gains, scenario.dt))
 
 
 def step(

@@ -31,8 +31,8 @@ def fd_bearing_jacobian(graph: FormationGraph, config: Configuration, h: float =
         minus = base.copy()
         plus[k] += h
         minus[k] -= h
-        f_plus = bearing_function(graph, Configuration.from_stacked(plus, graph.d))
-        f_minus = bearing_function(graph, Configuration.from_stacked(minus, graph.d))
+        f_plus = bearing_function(graph, Configuration(plus.reshape(-1, graph.d)))
+        f_minus = bearing_function(graph, Configuration(minus.reshape(-1, graph.d)))
         cols.append((f_plus - f_minus) / (2.0 * h))
     return np.stack(cols, axis=1)
 

@@ -18,12 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bmv
 import bmv.cli
-from bmv import HurwitzReport, ParseError, assemble, closed_loop_spectrum, run
+from bmv import (BearingSpec, HurwitzReport, ParseError, assemble, bearing_laplacian,
+                 closed_loop_spectrum, rigidity_report, run)
 from bmv.cli import (
     COORDINATE_LIMIT,
     ECHO_LIMIT,
@@ -40,6 +41,7 @@ from bmv.cli import (
     write_trajectory_csv,
 )
 from bmv.controller import GAIN_LIMIT
+from conftest import random_formation
 
 
 def small_doc(**overrides):
@@ -296,19 +298,43 @@ def _relabelled(doc, ids):
     return doc
 
 
-@pytest.mark.parametrize("id_", ["c,1", '"c', 'c"1', "c\r", "\nc"])
+# Ids a CSV header cannot take, and the problem parse_scenario names.
+BAD_COLUMN_IDS = {
+    **{id_: f"expected no comma, quote or line break, got {id_!r}"
+       for id_ in ["c,1", '"c', 'c"1', "c\r", "\nc"]},
+    "centroid": "'centroid' would repeat a column of trajectory.csv",
+}
+
+
+@pytest.mark.parametrize("id_", list(BAD_COLUMN_IDS))
 @pytest.mark.parametrize("command", ["check", "spectrum", "run"])
 def test_an_id_that_would_split_a_csv_column_is_refused_at_parse(tmp_path, capsys, command,
                                                                  id_):
     # the CSV headers join the ids unquoted, so a comma, a quote or a line
-    # break in one would leave the header and the rows different widths
+    # break in one would leave the header and the rows different widths, and
+    # the id "centroid" would head two columns centroid_x
     path = tmp_path / "split.json"
     path.write_text(json.dumps(_relabelled(small_doc(), ["a", "b", id_, "d"])))
     flags = ["--out", str(tmp_path / "o")] if command == "run" else []
     assert main([command, str(path), *flags]) == EXIT_INPUT
-    assert capsys.readouterr().err == (f"error: {path}: agents[2].id: expected no comma, "
-                                       f"quote or line break, got {id_!r}\n")
+    assert capsys.readouterr().err == f"error: {path}: agents[2].id: {BAD_COLUMN_IDS[id_]}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edge, problem", [
+    (["d", "c"], "duplicate edge between 'd' and 'c'"),
+    (["c", "c"], "self-loop at agent 'c'"),
+], ids=["duplicate", "self-loop"])
+def test_a_repeated_or_looped_edge_is_refused_naming_its_ids(tmp_path, capsys, edge, problem):
+    # the followers listed first, so no agent's index matches its place in
+    # the file: the message names the edge's ids and where it is
+    doc = small_doc()
+    doc["agents"] = doc["agents"][2:] + doc["agents"][:2]
+    doc["edges"].append(edge)
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: edges[6]: {problem}\n"
 
 
 def _with_initial(doc):
@@ -323,7 +349,9 @@ def scenario_documents(draw):
     d = draw(st.integers(2, 3))
     n = draw(st.integers(2, 5))
     n_leaders = draw(st.integers(1, n))
-    label = st.text(st.characters(exclude_characters=',"\r\n'), min_size=1, max_size=4)
+    # no comma, quote, line break or lone surrogate, which parse_scenario refuses
+    label = st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)),
+                    min_size=1, max_size=4)
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -1017,10 +1045,10 @@ def cli_calls(draw):
 
 def _finite_table(path):
     """Whether the CSV at path reads back as a table of finite values under a
-    header as wide as every row."""
+    header of distinct names as wide as every row."""
     with open(path, encoding="utf-8", newline="") as f:
         header, *rows = csv.reader(f)
-    return (all(len(row) == len(header) for row in rows)
+    return (len(set(header)) == len(header) and all(len(row) == len(header) for row in rows)
             and np.all(np.isfinite(np.array(rows, dtype=float))))
 
 
@@ -1030,6 +1058,7 @@ def _finite_table(path):
 @example(call=(BARELY_STABLE[0], ["spectrum"]))
 @example(call=(BARELY_STABLE[1], ["spectrum"]))
 @example(call=(_relabelled(small_doc(), ["a", "b", "c,1", "d"]), ["run", "--dump-xi"]))
+@example(call=(_relabelled(small_doc(), ["a", "b", "centroid", "d"]), ["run", "--dump-xi"]))
 def test_every_input_ends_in_a_bundle_or_one_line(call):
     # exit 0 with finite CSV tables and strict JSON, or exit 1 or 2 with
     # exactly one line on stderr; never a warning and never a traceback.  A
@@ -1089,9 +1118,12 @@ def test_a_library_run_refuses_the_dt_bmv_run_refuses(tmp_path, capsys):
 class Symmetry(NamedTuple):
     """p -> a R(theta) p + a beta, time scaled by c, and the agents and edges
     listed in the orders ``agents`` and ``edges`` (indices into the
-    document's lists, or None to keep them)."""
+    document's lists, or None to keep them), acting on the document ``name``
+    of SYMMETRY_DOCS, or on the random one ``formation`` draws when ``name``
+    is "random"."""
 
     name: str
+    formation: tuple[int, ...] = ()  # n, leaders, seed
     a: float = 1.0
     beta: tuple[float, float] = (0.0, 0.0)
     c: float = 1.0
@@ -1195,29 +1227,69 @@ def unmoved() -> dict[str, Outcome]:
     return {name: _outcome(doc) for name, doc in SYMMETRY_DOCS.items()}
 
 
+def _random_formation(n, leaders, seed):
+    """conftest.random_formation in the plane, drawn as the follower-solve
+    properties draw theirs."""
+    return random_formation(np.random.default_rng(seed), n, 2, n_leaders=min(leaders, n - 1),
+                            edge_prob=0.8)
+
+
+def _document(sym: Symmetry) -> dict:
+    """The document sym acts on.  A random formation is started, and runs the
+    square's schedule."""
+    if sym.name != "random":
+        return SYMMETRY_DOCS[sym.name]
+    graph, ref = _random_formation(*sym.formation)
+    ids = [f"a{k}" for k in range(graph.n)]
+    return _started(small_doc(
+        agents=[{"id": id_, "role": "leader" if graph.is_leader(k) else "follower"}
+                for k, id_ in enumerate(ids)],
+        reference_positions=dict(zip(ids, ref.points.tolist())),
+        edges=[[ids[i], ids[j]] for i, j in graph.edges],
+        schedule=SQUARE["schedule"],
+    ))
+
+
+@st.composite
+def formations(draw):
+    """(n, leaders, seed) of a random formation that is rigid and whose
+    followers the leaders pin down, filtered as the follower-solve
+    properties filter theirs."""
+    formation = (draw(st.integers(3, 7)), draw(st.integers(2, 4)),
+                 draw(st.integers(0, 2**32 - 1)))
+    graph, ref = _random_formation(*formation)
+    loc = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref)).localizability
+    assume(rigidity_report(graph, ref).is_infinitesimally_bearing_rigid)
+    assume(loc.localizable and loc.min_eigenvalue > 1e-3)
+    return formation
+
+
 @st.composite
 def symmetries(draw):
     """A Symmetry of one kind: a translation with a spatial scale, a time
     scale, a rotation, or a new order of the agents within each role and of
-    the edges.  The last two act on the started documents only."""
+    the edges.  The last two act on the started documents only, and each
+    kind on a random formation too."""
     kind = draw(st.sampled_from(["space", "time", "rotation", "order"]))
     started = sorted(name for name in SYMMETRY_DOCS if name.endswith("started"))
-    name = draw(st.sampled_from(sorted(SYMMETRY_DOCS) if kind in ("space", "time") else started))
+    name = draw(st.sampled_from(
+        [*(sorted(SYMMETRY_DOCS) if kind in ("space", "time") else started), "random"]))
+    formation = draw(formations()) if name == "random" else ()
     if kind == "space":
-        return Symmetry(name, a=10.0 ** draw(st.floats(-12.0, 12.0)), beta=draw(
+        return Symmetry(name, formation, a=10.0 ** draw(st.floats(-12.0, 12.0)), beta=draw(
             st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))))
     if kind == "time":
-        return Symmetry(name, c=10.0 ** draw(st.floats(-8.0, 4.0)))
+        return Symmetry(name, formation, c=10.0 ** draw(st.floats(-8.0, 4.0)))
     if kind == "rotation":
-        return Symmetry(name, theta=draw(st.floats(-math.pi, math.pi)))
-    doc = SYMMETRY_DOCS[name]
+        return Symmetry(name, formation, theta=draw(st.floats(-math.pi, math.pi)))
+    doc = _document(Symmetry(name, formation))
     agents = list(range(len(doc["agents"])))
     for role in ("leader", "follower"):
         slots = [k for k, agent in enumerate(doc["agents"]) if agent["role"] == role]
         for k, j in zip(slots, draw(st.permutations(slots))):
             agents[k] = j
     edges = draw(st.permutations(range(len(doc["edges"]))))
-    return Symmetry(name, agents=tuple(agents), edges=tuple(edges))
+    return Symmetry(name, formation, agents=tuple(agents), edges=tuple(edges))
 
 
 def _spectrum_times(summary, c):
@@ -1241,8 +1313,9 @@ def test_units_change_no_result(unmoved, symmetry):
     # rates, and the agents' order is only a labelling: the verdicts, the
     # step count, lambda_min, the spectrum and the decay rate times c, and
     # the final positions stay the same
-    base = unmoved[symmetry.name]
-    moved = _outcome(_rescaled(_moved(SYMMETRY_DOCS[symmetry.name], symmetry), symmetry.c))
+    doc = _document(symmetry)
+    base = unmoved[symmetry.name] if symmetry.name in unmoved else _outcome(doc)
+    moved = _outcome(_rescaled(_moved(doc, symmetry), symmetry.c))
     assert base.code == EXIT_OK
     assert (moved.checked, moved.verdicts, moved.code) == (base.checked, base.verdicts, EXIT_OK)
     assert moved.summary["integration"]["samples"] == base.summary["integration"]["samples"]

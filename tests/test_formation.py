@@ -166,7 +166,7 @@ def test_configuration_stacking_roundtrip():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 3))
     cfg = Configuration(pts)
-    again = Configuration.from_stacked(cfg.stacked, 3)
+    again = Configuration(cfg.stacked.reshape(-1, 3))
     np.testing.assert_array_equal(again.points, cfg.points)
     np.testing.assert_array_equal(cfg.stacked[12:15], pts[4])
 
@@ -176,8 +176,6 @@ def test_configuration_rejects_bad_input():
         Configuration(np.zeros(4))
     with pytest.raises(ValueError):
         Configuration(np.array([[0.0, np.nan]]))
-    with pytest.raises(DimensionMismatch):
-        Configuration.from_stacked(np.zeros(5), 2)
 
 
 def test_configuration_is_immutable():

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -58,6 +59,12 @@ PROBE_NAMES = [
     "rigidity_report", "run", "step", "target_follower_positions", "verify_hurwitz",
 ]
 
+# Public names that only tests and the layer probe call: no module of the
+# package calls one, so each can be deleted once nothing outside calls it.
+# ``configuration`` is Trajectory.configuration.
+LEAVES = {"bearing_function", "check_localizable", "target_follower_positions", "step",
+          "effective_closed_loop_matrix", "verify_hurwitz", "configuration"}
+
 
 def test_public_names_are_pinned_and_importable():
     assert bmv.__all__ == PUBLIC_NAMES
@@ -76,6 +83,21 @@ def test_no_class_is_a_dataclass():
                if isinstance(obj, type)]
     assert len(classes) == 24
     assert not [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)]
+
+
+def test_no_module_calls_a_leaf_or_imports_a_private_name():
+    found = []
+    for path in sorted(Path(bmv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in LEAVES:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_benchmark_probe_runs_on_the_2d_bundle(tmp_path):

@@ -217,7 +217,7 @@ def test_metrics_match_recomputation():
     traj = run(ctx)
     for k in (0, 17, traj.times.size - 1):
         p = traj.positions[k]
-        bearings = bearing_function(ctx.graph, Configuration.from_stacked(p, 2))
+        bearings = bearing_function(ctx.graph, Configuration(p.reshape(-1, 2)))
         np.testing.assert_allclose(
             traj.bearing_error[k],
             np.linalg.norm(
