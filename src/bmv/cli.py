@@ -27,6 +27,7 @@ import numpy as np
 from .controller import BLOCK_STEPS, Gains
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph, scale
+from .rigidity import certify_rigid, required_rank, rigidity_report
 from .sim import (
     COORDINATE_LIMIT,
     DEFAULT_DT,
@@ -262,6 +263,10 @@ def load_scenario(path) -> LoadedScenario:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+    except ParseError:
+        raise
+    except ValueError as exc:  # an integer literal longer than int() reads
+        raise ParseError(f"{path}: {exc}") from None
     return parse_scenario(doc, origin=str(path))
 
 
@@ -464,19 +469,24 @@ def _attempt(func, *args) -> tuple[int, object]:
 
 def cmd_check(args) -> int:
     loaded = load_scenario(args.scenario)
-    _, report, lap = _named(loaded.labels, structure, loaded.scenario)
+    graph, ref = loaded.scenario.graph, loaded.scenario.reference_config
+    _, lap = _named(loaded.labels, structure, loaded.scenario)
+    required = required_rank(graph)
+    # One Cholesky proves full rank; only a formation it cannot prove pays
+    # for the singular values.
+    rank = required if certify_rigid(graph, ref) else rigidity_report(graph, ref).rank
+    rigid = rank == required
     loc = lap.localizability
     lam = loc.min_eigenvalue
-    print(f"rank            = {report.rank}")
-    print(f"required_rank   = {report.required_rank}")
-    print(f"rigid           = {'yes' if report.is_infinitesimally_bearing_rigid else 'no'}")
+    print(f"rank            = {rank}")
+    print(f"required_rank   = {required}")
+    print(f"rigid           = {'yes' if rigid else 'no'}")
     print(f"lambda_min_ff   = {lam:.6e}" if math.isfinite(lam) else "lambda_min_ff   = inf")
     print(f"localizable     = {'yes' if loc.localizable else 'no'}")
-    rigid_word = "RIGID" if report.is_infinitesimally_bearing_rigid else "NOT RIGID"
+    rigid_word = "RIGID" if rigid else "NOT RIGID"
     loc_word = "LOCALIZABLE" if loc.localizable else "NOT LOCALIZABLE"
     print(f"verdict: {rigid_word}, {loc_word}")
-    ok = report.is_infinitesimally_bearing_rigid and loc.localizable
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if rigid and loc.localizable else EXIT_VALIDATION
 
 
 def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:

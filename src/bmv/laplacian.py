@@ -66,12 +66,23 @@ class BearingLaplacian:
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu, U, W), read-only: L_ff = U diag(mu) U^T, mu ascending, W = U^T L_fl.
-        The one eigensolve of L_ff; everything built from L_ff reads it."""
+        The one eigensolve of L_ff of a command that needs U; everything built
+        from L_ff then reads it."""
         mu, U = np.linalg.eigh(self.L_ff)
         modes = (mu, U, U.T @ self.L_fl)
         for array in modes:
             array.setflags(write=False)
         return modes
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """The eigenvalues of L_ff, ascending, read-only: the modes' when they
+        are already computed, otherwise one eigvalsh, which skips U."""
+        if "modes" in self.__dict__:
+            return self.modes[0]
+        mu = np.linalg.eigvalsh(self.L_ff)
+        mu.setflags(write=False)
+        return mu
 
     @cached_property
     def localizability(self) -> LocalizabilityResult:
@@ -80,7 +91,7 @@ class BearingLaplacian:
         With no followers the block is empty and the formation is vacuously
         localizable; the minimum eigenvalue is reported as +inf.
         """
-        eigs = self.modes[0]
+        eigs = self.mu
         if self.n_followers == 0:
             return LocalizabilityResult(True, math.inf, eigs)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])

@@ -197,13 +197,10 @@ class ExponentialFit(NamedTuple):
     r_squared: float
 
 
-def structure(scenario: Scenario) -> tuple[BearingSpec, RigidityReport, BearingLaplacian]:
-    """The reference formation's bearings, rigidity and Laplacian."""
-    graph = scenario.graph
-    ref = scenario.reference_config
-    spec = BearingSpec.from_configuration(graph, ref)
-    lap = bearing_laplacian(graph, spec)
-    return spec, rigidity_report(graph, ref), lap
+def structure(scenario: Scenario) -> tuple[BearingSpec, BearingLaplacian]:
+    """The reference formation's bearings and Laplacian."""
+    spec = BearingSpec.from_configuration(scenario.graph, scenario.reference_config)
+    return spec, bearing_laplacian(scenario.graph, spec)
 
 
 def assemble(scenario: Scenario, force: bool = False) -> SimContext:
@@ -216,7 +213,9 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
     """
     graph = scenario.graph
     ref = scenario.reference_config
-    spec, rigidity, lap = structure(scenario)
+    spec, lap = structure(scenario)
+    rigidity = rigidity_report(graph, ref)
+    lap.modes  # the eigh that localizability then reads, and the loop after it
     localizability = lap.localizability
 
     if not rigidity.is_infinitesimally_bearing_rigid:

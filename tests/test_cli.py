@@ -276,6 +276,19 @@ def test_load_scenario_rejects_duplicate_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "spectrum", "run"])
+def test_an_integer_literal_too_long_to_read_is_an_input_error(tmp_path, capsys, command):
+    # json.loads refuses an int of more than sys.get_int_max_str_digits()
+    # digits with a bare ValueError; it ends in one line naming the file
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(small_doc()).replace('"seed": 5', '"seed": ' + "7" * 5000))
+    flags = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and "4300 digits" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum", "run"])
 def test_an_id_utf8_cannot_encode_is_refused_at_parse(tmp_path, capsys, command):
     # a lone surrogate, written as a JSON escape, could not head a CSV column
     path = tmp_path / "surrogate.json"
@@ -647,7 +660,9 @@ def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, 
 def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
     # Localizability, the follower map, the spectrum and the loop's modes all
     # come from one symmetric eigensolve of the follower block per scenario,
-    # and the rigidity verdict from one of the rigidity Gram matrix.
+    # and the rigidity report from one of the rigidity Gram matrix.  check
+    # reads neither eigenvectors nor singular values: one eigvalsh of the
+    # follower block, and one Cholesky that proves the rank.
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"numpy.linalg.{name} called")
@@ -664,20 +679,21 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
 
     for name in ("svd", "eigvals", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse(name))
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, count(name))
     path = str(bundled_scenario_path("narrow_passage_2d"))
     other = str(bundled_scenario_path("narrow_passage_3d"))
     out = tmp_path / "out"
-    for argv, scenarios in (
-        (["check", path], 1),
-        (["run", path, "--out", str(out), "--decimate", "100"], 1),
-        (["spectrum", path], 1),
-        (["batch", path, other, "--out", str(tmp_path / "batch"), "--decimate", "100"], 2),
+    for argv, expected in (
+        (["check", path], ["cholesky", "eigvalsh"]),
+        (["run", path, "--out", str(out), "--decimate", "100"], ["eigh", "eigvalsh"]),
+        (["spectrum", path], ["eigh", "eigvalsh"]),
+        (["batch", path, other, "--out", str(tmp_path / "batch"), "--decimate", "100"],
+         ["eigh"] * 2 + ["eigvalsh"] * 2),
     ):
         calls.clear()
         assert main(argv) == EXIT_OK
-        assert sorted(calls) == ["eigh"] * scenarios + ["eigvalsh"] * scenarios, argv
+        assert sorted(calls) == expected, argv
 
 
 def test_run_and_spectrum_build_the_spectrum_once(tmp_path, monkeypatch):
@@ -702,14 +718,31 @@ def test_run_and_spectrum_build_the_spectrum_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
 def test_check_prints_the_same_with_the_rigidity_svd(name, monkeypatch, capsys):
-    # The verdict from the Gram matrix's eigenvalues is the one the SVD of
-    # the rigidity matrix gives, byte for byte.
+    # The rank the Cholesky certificate proves is the one the Gram matrix's
+    # eigenvalues give, and that is the one the SVD of the rigidity matrix
+    # gives, byte for byte.
     path = str(bundled_scenario_path(name))
     assert main(["check", path]) == EXIT_OK
-    fast = capsys.readouterr().out
+    certified = capsys.readouterr().out
+
+    def decline(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    gram_route = bmv.rigidity._gram_singular_values
+    taken = []
+
+    def counted(graph, config):
+        taken.append(gram_route(graph, config))
+        return taken[-1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", decline)
+    monkeypatch.setattr(bmv.rigidity, "_gram_singular_values", counted)
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr().out == certified
+    assert len(taken) == 1 and taken[0] is not None
     monkeypatch.setattr(bmv.rigidity, "_gram_singular_values", lambda graph, config: None)
     assert main(["check", path]) == EXIT_OK
-    assert capsys.readouterr().out == fast
+    assert capsys.readouterr().out == certified
 
 
 def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):

@@ -304,7 +304,7 @@ def _matches_reference(lap, gains: Gains):
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
 def test_closed_loop_spectrum_matches_reference_on_bundles(name):
     scenario = load_scenario(bundled_scenario_path(name)).scenario
-    _, _, lap = structure(scenario)
+    _, lap = structure(scenario)
     report, _ = _matches_reference(lap, scenario.gains)
     assert report.is_hurwitz
     assert not np.any(np.signbit(report.eigenvalues.imag[report.eigenvalues.imag == 0.0]))

@@ -7,7 +7,7 @@ hand-computed small cases.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -19,7 +19,7 @@ from bmv import (
     rigidity,
     rigidity_report,
 )
-from bmv.rigidity import TAU_RANK
+from bmv.rigidity import TAU_RANK, certify_rigid
 from conftest import SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, random_formation
 
 
@@ -172,3 +172,56 @@ def test_nearly_collinear_formation_takes_the_svd():
 def test_trivial_singular_values_are_exact_zeros(square_graph, square_config):
     sv = rigidity_report(square_graph, square_config).singular_values
     assert np.all(sv[:5] > 0.0) and np.all(sv[5:] == 0.0)
+
+
+def _pushed(seed, n, d, edge_prob, offset):
+    """random_formation with a neighbour k of agent j moved onto the line
+    through j along its bearing to another neighbour l, and then ``offset``
+    times |p_l - p_j| off that line."""
+    rng = np.random.default_rng(seed)
+    graph, cfg = random_formation(rng, n, d, edge_prob=edge_prob)
+    j = int(rng.integers(n))
+    assume(len(graph.neighbors(j)) >= 2)
+    k, l = rng.choice(graph.neighbors(j), size=2, replace=False)
+    points = cfg.points.copy()
+    bearing = points[l] - points[j]
+    across = rng.normal(size=d)
+    across -= (across @ bearing) / (bearing @ bearing) * bearing
+    across *= offset * np.linalg.norm(bearing) / np.linalg.norm(across)
+    points[k] = points[j] + rng.choice([-0.5, 0.5, 1.5]) * bearing + across
+    return graph, Configuration(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    d=st.integers(2, 3),
+    edge_prob=st.sampled_from([1.0, 0.6]),
+    offset=st.sampled_from([None, 0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2]),
+)
+@example(seed=0, n=3, d=2, edge_prob=1.0, offset=1e-7)
+def test_a_certified_formation_has_full_rank(seed, n, d, edge_prob, offset):
+    # The Cholesky certificate never calls rigid what the report does not.
+    if offset is None:
+        graph, cfg = random_formation(np.random.default_rng(seed), n, d, edge_prob=edge_prob)
+    else:
+        graph, cfg = _pushed(seed, n, d, edge_prob, offset)
+    try:
+        certified = certify_rigid(graph, cfg)
+    except DegenerateVector:
+        assume(False)
+    if certified:
+        report = rigidity_report(graph, cfg)
+        assert report.rank == report.required_rank == d * n - d - 1
+        sv = np.linalg.svd(bearing_rigidity_matrix(graph, cfg), compute_uv=False)
+        assert sv[d * n - d - 2] > TAU_RANK * sv[0]
+
+
+def test_the_certificate_declines_a_nearly_collinear_rigid_formation():
+    # sigma_min / sigma_max of about 1e-8 is rigid to the report, and too
+    # small for the certificate to prove: check then prints the report's rank.
+    graph, cfg = _formation(**NEARLY_COLLINEAR)
+    assert not certify_rigid(graph, cfg)
+    assert rigidity_report(graph, cfg).is_infinitesimally_bearing_rigid
+    assert certify_rigid(*_formation(**{**NEARLY_COLLINEAR, "flatten": 1.0}))
