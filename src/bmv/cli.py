@@ -37,6 +37,7 @@ from .sim import (
     SimContext,
     Trajectory,
     assemble,
+    kept_rows,
     run,
     structure,
 )
@@ -270,36 +271,6 @@ def load_scenario(path) -> LoadedScenario:
     return parse_scenario(doc, origin=str(path))
 
 
-def scenario_document(loaded: LoadedScenario) -> dict:
-    """Serialize back to the JSON document shape; inverse of parse_scenario."""
-    scenario = loaded.scenario
-    labels = loaded.labels
-    n_l = scenario.graph.n_leaders
-    agents = []
-    for k, label in enumerate(labels):
-        entry: dict = {"id": label, "role": "leader" if k < n_l else "follower"}
-        if scenario.initial_config is not None:
-            entry["initial"] = list(scenario.initial_config.points[k])
-        agents.append(entry)
-    return {
-        "dimension": scenario.graph.d,
-        "agents": agents,
-        "reference_positions": {
-            label: list(scenario.reference_config.points[k])
-            for k, label in enumerate(labels)
-        },
-        "edges": [[labels[i], labels[j]] for i, j in scenario.graph.edges],
-        "gains": {"kp": scenario.gains.k_p, "ki": scenario.gains.k_i},
-        "schedule": [
-            {"t0": seg.t_start, "t1": seg.t_end, "vc": list(seg.v_c), "scale_rate": seg.scale_rate}
-            for seg in scenario.schedule
-        ],
-        "dt": scenario.dt,
-        "duration": scenario.duration,
-        "seed": scenario.seed,
-    }
-
-
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped with the package."""
     if not name.endswith(".json"):
@@ -321,8 +292,7 @@ def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
     row each, as UTF-8.  The rows are formatted and written BLOCK_STEPS at a
     time, so the text held is one block's, however long the file."""
     last = len(columns[0]) - 1
-    step = min(decimate, max(last, 1))  # the same rows, and the indices stay integers
-    rows = range(0, last + step, step)  # its final index, clamped to last, is the final sample
+    rows = kept_rows(last, decimate)
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         for start in range(0, len(rows), BLOCK_STEPS):

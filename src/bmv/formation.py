@@ -78,28 +78,16 @@ class FormationGraph:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def _neighbor_map(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return {i: tuple(sorted(v)) for i, v in nbrs.items()}
-
-    @cached_property
-    def _edge_slots(self) -> dict[tuple[int, int], int]:
-        return {edge: k for k, edge in enumerate(self.edges)}
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:
             raise ValueError(f"no vertex {i}")
-        return self._neighbor_map[i]
+        return tuple(sorted(b if a == i else a for a, b in self.edges if i in (a, b)))
 
     def edge_index(self, i: int, j: int) -> int:
         """Position of the undirected edge {i, j} in the edge list."""
         try:
-            return self._edge_slots[(min(i, j), max(i, j))]
-        except KeyError:
+            return self.edges.index((min(i, j), max(i, j)))
+        except ValueError:
             raise UnknownNeighbor(f"no edge between agents {i} and {j}") from None
 
 

@@ -33,21 +33,20 @@ class LocalizabilityResult(NamedTuple):
 
 
 class BearingLaplacian:
-    """Bearing Laplacian with its leader/follower partition.
+    """Bearing Laplacian of a graph's desired bearings, leaders first.
 
-    ``matrix`` is the full (d*n, d*n) array, agents ordered leaders first.
-    The follower rows' blocks L_fl and L_ff are read-only views.
+    ``matrix`` is the full (d*n, d*n) array: agent i's diagonal block sums
+    its edges' projectors and an edge's off-diagonal blocks carry the negated
+    one, so it is symmetric positive semidefinite.  It and the follower rows'
+    blocks L_fl and L_ff are read-only.
     """
 
-    def __init__(self, matrix, d: int, n_leaders: int, n_followers: int) -> None:
-        mat = np.array(matrix, dtype=float)
-        dn = d * (n_leaders + n_followers)
-        if mat.shape != (dn, dn):
-            raise DimensionMismatch(
-                f"Laplacian shape {mat.shape} does not match {dn} stacked coordinates"
-            )
+    def __init__(self, graph: FormationGraph, spec: BearingSpec) -> None:
+        ensure_aligned(graph, spec)
+        mat = edge_laplacian(graph, edge_projectors(spec.vectors))
         mat.setflags(write=False)
-        self.matrix, self.d, self.n_leaders, self.n_followers = mat, d, n_leaders, n_followers
+        self.matrix, self.d = mat, graph.d
+        self.n_leaders, self.n_followers = graph.n_leaders, graph.n_followers
 
     @property
     def _split(self) -> int:
@@ -123,15 +122,8 @@ class BearingLaplacian:
 
 
 def bearing_laplacian(graph: FormationGraph, spec: BearingSpec) -> BearingLaplacian:
-    """Assemble the Laplacian from a graph and its desired bearings.
-
-    The diagonal block of agent i sums the projectors of its incident edges;
-    the off-diagonal block of an edge carries the negated projector.  The
-    result is symmetric positive semidefinite by construction.
-    """
-    ensure_aligned(graph, spec)
-    L = edge_laplacian(graph, edge_projectors(spec.vectors))
-    return BearingLaplacian(L, graph.d, graph.n_leaders, graph.n_followers)
+    """BearingLaplacian(graph, spec)."""
+    return BearingLaplacian(graph, spec)
 
 
 def check_localizable(lap: BearingLaplacian) -> LocalizabilityResult:

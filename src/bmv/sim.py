@@ -48,7 +48,7 @@ from .formation import (
     scale,
     sum_squares,
 )
-from .laplacian import BearingLaplacian, bearing_laplacian
+from .laplacian import BearingLaplacian
 from .rigidity import RigidityReport, rigidity_report
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,8 @@ COORDINATE_LIMIT = 1e150
 # segment's last step, which is a full step of dt when this close to one.
 TIME_TOL = 1e-6
 
-# A run's steps, kept or not, may count at most this many state floats (512 MiB).
+# A run's steps, kept or not, may count at most this many state floats (512 MiB),
+# and a formation's dense (d*n)-wide matrices at most this many entries.
 MAX_RUN_ELEMENTS = 1 << 26
 
 
@@ -198,9 +199,16 @@ class ExponentialFit(NamedTuple):
 
 
 def structure(scenario: Scenario) -> tuple[BearingSpec, BearingLaplacian]:
-    """The reference formation's bearings and Laplacian."""
-    spec = BearingSpec.from_configuration(scenario.graph, scenario.reference_config)
-    return spec, bearing_laplacian(scenario.graph, spec)
+    """The reference formation's bearings and Laplacian.  Raises ValueError first
+    when its dense matrices, d*n by up to d*max(n, m), exceed MAX_RUN_ELEMENTS."""
+    graph = scenario.graph
+    entries = graph.d * graph.n * graph.d * max(graph.n, graph.m)
+    if entries > MAX_RUN_ELEMENTS:
+        raise ValueError(f"a formation of n = {graph.n} agents and m = {graph.m} edges in "
+                         f"d = {graph.d} dimensions needs matrices of {entries} entries, "
+                         f"more than the {MAX_RUN_ELEMENTS} it may have")
+    spec = BearingSpec.from_configuration(graph, scenario.reference_config)
+    return spec, BearingLaplacian(graph, spec)
 
 
 def assemble(scenario: Scenario, force: bool = False) -> SimContext:
@@ -371,6 +379,13 @@ def _collocation(ctx: SimContext, pts: np.ndarray, exc: DegenerateVector) -> Deg
                             f"formation's", agents=exc.agents)
 
 
+def kept_rows(last: int, every: int) -> range:
+    """Samples 0, k, 2k, ... and the first at or past ``last``, which stands for
+    the final sample ``last``: clamp it.  k is ``every``, at most max(last, 1)."""
+    step = min(every, max(last, 1))
+    return range(0, last + step, step)
+
+
 def run(ctx: SimContext, every: int = 1) -> Trajectory:
     """Integrate the whole schedule, keeping samples 0, every, 2*every, ...
     and the final one.
@@ -407,9 +422,7 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
             f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
             f"more than the {MAX_RUN_ELEMENTS} floats a run may step through"
         )
-    every = min(every, max(steps, 1))  # the same rows, and np.arange below stays integer
-    at = np.arange(0, steps + every, every)
-    at[-1] = steps
+    at = np.minimum(kept_rows(steps, every), steps)
     kept = np.zeros((at.size, width))
     kept[0, :nd] = ctx.initial_positions
     metrics = {"bearing_error": np.empty(at.size), "centroid": np.empty((at.size, graph.d)),

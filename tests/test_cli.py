@@ -32,12 +32,12 @@ from bmv.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     VALIDATION_ERRORS,
+    LoadedScenario,
     build_summary,
     bundled_scenario_path,
     load_scenario,
     main,
     parse_scenario,
-    scenario_document,
     write_trajectory_csv,
 )
 from bmv.controller import GAIN_LIMIT
@@ -356,6 +356,36 @@ def _with_initial(doc):
     return doc
 
 
+def scenario_document(loaded: LoadedScenario) -> dict:
+    """Serialize back to the JSON document shape; inverse of parse_scenario."""
+    scenario = loaded.scenario
+    labels = loaded.labels
+    n_l = scenario.graph.n_leaders
+    agents = []
+    for k, label in enumerate(labels):
+        entry: dict = {"id": label, "role": "leader" if k < n_l else "follower"}
+        if scenario.initial_config is not None:
+            entry["initial"] = list(scenario.initial_config.points[k])
+        agents.append(entry)
+    return {
+        "dimension": scenario.graph.d,
+        "agents": agents,
+        "reference_positions": {
+            label: list(scenario.reference_config.points[k])
+            for k, label in enumerate(labels)
+        },
+        "edges": [[labels[i], labels[j]] for i, j in scenario.graph.edges],
+        "gains": {"kp": scenario.gains.k_p, "ki": scenario.gains.k_i},
+        "schedule": [
+            {"t0": seg.t_start, "t1": seg.t_end, "vc": list(seg.v_c), "scale_rate": seg.scale_rate}
+            for seg in scenario.schedule
+        ],
+        "dt": scenario.dt,
+        "duration": scenario.duration,
+        "seed": scenario.seed,
+    }
+
+
 @st.composite
 def scenario_documents(draw):
     """Valid documents in the canonical form scenario_document writes."""
@@ -523,24 +553,38 @@ def test_write_trajectory_csv_keeps_every_kth_line_and_the_last(scenario_file, t
 
 
 def test_writing_a_trajectory_holds_one_block_of_rows(tmp_path):
-    # the 2-D bundle at its dt and at --dt 2.5e-4: the file grows 4x, and the
-    # writer's allocations stay at one block of rows
-    doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
-    rows, sizes, peaks = [], [], []
-    for dt in (1e-3, 2.5e-4):
-        loaded = parse_scenario({**doc, "dt": dt})
-        traj = run(assemble(loaded.scenario))
-        path = tmp_path / f"{dt}.csv"
-        tracemalloc.start()
-        try:
-            write_trajectory_csv(path, traj, loaded.labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        rows.append(len(traj.times))
-        sizes.append(path.stat().st_size)
-        peaks.append(peak)
-    assert rows == [24_001, 96_001]
+    # 24 s at dt 1e-3 and at dt 2.5e-4: the file grows 4x, and the writer's
+    # allocations stay at one block of rows.  Tracing costs per value written,
+    # so the formation is the narrowest, ten values a row, and the two traced
+    # writes run at once, each in a process of its own.
+    doc = small_doc(agents=[{"id": "a", "role": "leader"}, {"id": "b", "role": "leader"}],
+                    reference_positions={"a": [0.0, 0.0], "b": [1.0, 0.0]}, edges=[["a", "b"]],
+                    schedule=[{"t0": 0.0, "t1": 24.0, "vc": [0.1, 0.2], "scale_rate": 0.01}],
+                    duration=24.0)
+    # run a document, write its trajectory.csv under tracemalloc, and print the
+    # row count and the writer's traced peak in bytes
+    probe = (
+        "import json, sys, tracemalloc\n"
+        "from pathlib import Path\n"
+        "from bmv import assemble, run\n"
+        "from bmv.cli import parse_scenario, write_trajectory_csv\n"
+        "loaded = parse_scenario(json.loads(sys.argv[1]))\n"
+        "traj = run(assemble(loaded.scenario))\n"
+        "tracemalloc.start()\n"
+        "write_trajectory_csv(Path(sys.argv[2]), traj, loaded.labels)\n"
+        "print(len(traj.times), tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = Path(bmv.__file__).resolve().parents[1]
+    paths = {dt: tmp_path / f"{dt}.csv" for dt in (1e-3, 2.5e-4)}
+    writers = [subprocess.Popen([sys.executable, "-c", probe, json.dumps({**doc, "dt": dt}),
+                                 str(path)], stdout=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+               for dt, path in paths.items()]
+    printed = [writer.communicate(timeout=120)[0] for writer in writers]
+    assert [writer.returncode for writer in writers] == [0, 0]
+    rows, peaks = zip(*(map(int, line.split()) for line in printed))
+    sizes = [path.stat().st_size for path in paths.values()]
+    assert rows == (24_001, 96_001)
     assert sizes[1] > 3.9 * sizes[0]
     assert max(peaks) < 2 * 2**20, peaks
 
@@ -879,6 +923,35 @@ def test_run_refuses_unbounded_step_count(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_formation_too_large_for_dense_matrices_ends_in_one_line(tmp_path):
+    # a 3-D chain of 5,000 agents: its Laplacian alone would be 15,000 wide
+    # (1.7 GiB), and every command refuses it before building anything.  The
+    # 1 GiB address-space cap makes a build that is attempted fail at once.
+    ids = [f"a{k}" for k in range(5_000)]
+    doc = small_doc(
+        dimension=3,
+        agents=[{"id": a, "role": "leader" if k < 2 else "follower"} for k, a in enumerate(ids)],
+        reference_positions={a: [float(k), float(k % 2), 0.0] for k, a in enumerate(ids)},
+        edges=[[a, b] for a, b in zip(ids, ids[1:])],
+        schedule=[{"t0": 0.0, "t1": 1.0}])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+             "import bmv.cli\n"
+             "print([bmv.cli.main(argv.split()) for argv in sys.argv[1:]])\n")
+    argv = [f"check {path}", f"spectrum {path}", f"run {path} --out {tmp_path / 'out'}"]
+    src = Path(bmv.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_OK, f"{[EXIT_VALIDATION] * 3}\n"), done.stderr
+    line = ("error: a formation of n = 5000 agents and m = 4999 edges in d = 3 dimensions "
+            "needs matrices of 225000000 entries, more than the 67108864 it may have\n")
+    assert done.stderr == line * 3
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, code", [("spectrum", EXIT_OK), ("run", EXIT_VALIDATION)])
 def test_a_subnormal_dt_is_counted_without_overflow(tmp_path, capsys, command, code):
     # the 2-D bundle's 24 s at dt = 5e-324 is an infinite number of steps,
@@ -896,18 +969,14 @@ def test_a_subnormal_dt_is_counted_without_overflow(tmp_path, capsys, command, c
 
 
 @pytest.mark.parametrize("dt", ["0.2", "1e+300"])
-def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, dt):
+def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys, dt):
     # dt * max|lambda| is 7.4 at dt = 0.2 and 2.6 at dt = 0.07, and RK4 is
     # stable on the negative real axis up to 2.785
     path = str(bundled_scenario_path("narrow_passage_2d"))
-    src = Path(bmv.__file__).resolve().parents[1]
-    failed = subprocess.run(
-        [sys.executable, "-m", "bmv.cli", "run", path, "--dt", dt, "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-    )
-    assert failed.returncode == EXIT_VALIDATION
-    assert failed.stderr.count("\n") == 1 and failed.stderr.startswith(f"error: dt = {dt} ")
-    assert "largest stable dt is about 0.0753" in failed.stderr
+    assert main(["run", path, "--dt", dt, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: dt = {dt} ")
+    assert "largest stable dt is about 0.0753" in err
     assert not (tmp_path / "o").exists()
     code = main(["batch", path, "--dt", "0.2", "--out", str(tmp_path / "b")])
     assert code == EXIT_VALIDATION and not (tmp_path / "b").exists()
@@ -919,19 +988,14 @@ def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, dt):
 
 
 @pytest.mark.parametrize("key, value", [("vc", [1e300, 0.0]), ("scale_rate", 1e300)])
-def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, key, value):
+def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, capsys, key, value):
     # the leaders would pass 1e150 and their bearings would overflow
     doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
     doc["schedule"][0][key] = value
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))
-    src = Path(bmv.__file__).resolve().parents[1]
-    failed = subprocess.run(
-        [sys.executable, "-m", "bmv.cli", "run", str(path), "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-    )
-    assert failed.returncode == EXIT_VALIDATION
-    assert failed.stderr == (
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
         f"error: schedule[0] would carry the leaders beyond {COORDINATE_LIMIT:g}\n"
     )
     assert not (tmp_path / "o").exists()

@@ -212,10 +212,3 @@ def test_follower_solve_checks_leader_length():
     _, lap = _square_laplacian()
     with pytest.raises(DimensionMismatch):
         target_follower_positions(lap, np.zeros(3))
-
-
-def test_laplacian_shape_validation():
-    from bmv import BearingLaplacian
-
-    with pytest.raises(DimensionMismatch):
-        BearingLaplacian(matrix=np.zeros((4, 4)), d=2, n_leaders=1, n_followers=2)

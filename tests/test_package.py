@@ -62,8 +62,9 @@ PROBE_NAMES = [
 # Public names that only tests and the layer probe call: no module of the
 # package calls one, so each can be deleted once nothing outside calls it.
 # ``configuration`` is Trajectory.configuration.
-LEAVES = {"bearing_function", "check_localizable", "target_follower_positions", "step",
-          "effective_closed_loop_matrix", "verify_hurwitz", "configuration"}
+LEAVES = {"bearing_function", "bearing_laplacian", "check_localizable",
+          "target_follower_positions", "step", "effective_closed_loop_matrix",
+          "verify_hurwitz", "configuration"}
 
 
 def test_public_names_are_pinned_and_importable():
