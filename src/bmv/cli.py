@@ -27,7 +27,7 @@ import numpy as np
 from .controller import BLOCK_STEPS, Gains
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph, scale
-from .rigidity import certify_rigid, required_rank, rigidity_report
+from .rigidity import required_rank, rigidity_rank
 from .sim import (
     COORDINATE_LIMIT,
     DEFAULT_DT,
@@ -37,6 +37,7 @@ from .sim import (
     SimContext,
     Trajectory,
     assemble,
+    ensure_dense_fits,
     kept_rows,
     run,
     structure,
@@ -131,15 +132,20 @@ REQUIRED_FIELDS = ("dimension", "agents", "reference_positions", "edges", "sched
 def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     """Build a Scenario from a decoded JSON document.
 
-    Raises ParseError with a field path on any malformed input.
+    Raises ParseError with a field path on any malformed input, and the
+    ValueError of sim.ensure_dense_fits, from the lengths of ``agents`` and
+    ``edges``, before it reads any agent.
     """
     doc = _as_object(doc, origin, "", DOCUMENT_FIELDS, REQUIRED_FIELDS)
     d = _as_integer(doc["dimension"], origin, "dimension", 2, len(AXES))
+    agents = _as_list(doc["agents"], origin, "agents", "agents")
+    pairs = _as_list(doc["edges"], origin, "edges", "id pairs")
+    ensure_dense_fits(d, len(agents), len(pairs))
 
     leaders: list[tuple[str, list[float] | None]] = []
     followers: list[tuple[str, list[float] | None]] = []
     seen_ids: set[str] = set()
-    for k, entry in enumerate(_as_list(doc["agents"], origin, "agents", "agents")):
+    for k, entry in enumerate(agents):
         where = f"agents[{k}]"
         entry = _as_object(entry, origin, where, ("id", "role", "initial"))
         agent_id = entry.get("id")
@@ -180,7 +186,7 @@ def parse_scenario(doc, origin: str = "scenario") -> LoadedScenario:
     ]
 
     edges: dict[tuple[int, int], None] = {}  # in file order, tail first
-    for k, pair in enumerate(_as_list(doc["edges"], origin, "edges", "id pairs")):
+    for k, pair in enumerate(pairs):
         where = f"edges[{k}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(origin, where, f"expected a pair of agent ids, got {pair!r}")
@@ -415,15 +421,17 @@ def _named(labels: tuple[str, ...], func, *args):
         raise DegenerateVector(str(exc).replace(f"{i} and {j}", f"{labels[i]} and {labels[j]}"))
 
 
-def _context(path, args) -> tuple[SimContext, tuple[str, ...]]:
-    """Load a scenario, apply the --dt and --seed overrides, and assemble it."""
+def _context(path, args, integrate: bool = True) -> tuple[SimContext, tuple[str, ...]]:
+    """Load a scenario, apply the --dt and --seed overrides, and assemble it,
+    for a run unless ``integrate`` is False (see sim.assemble)."""
     loaded = load_scenario(path)
     base = loaded.scenario
     scenario = Scenario(base.graph, base.reference_config, base.schedule, base.duration,
                         base.gains, base.initial_config,
                         base.dt if args.dt is None else args.dt,
                         base.seed if args.seed is None else args.seed)
-    return _named(loaded.labels, assemble, scenario, args.force), loaded.labels
+    context = _named(loaded.labels, assemble, scenario, args.force, integrate)
+    return context, loaded.labels
 
 
 def _attempt(func, *args) -> tuple[int, object]:
@@ -441,10 +449,7 @@ def cmd_check(args) -> int:
     loaded = load_scenario(args.scenario)
     graph, ref = loaded.scenario.graph, loaded.scenario.reference_config
     _, lap = _named(loaded.labels, structure, loaded.scenario)
-    required = required_rank(graph)
-    # One Cholesky proves full rank; only a formation it cannot prove pays
-    # for the singular values.
-    rank = required if certify_rigid(graph, ref) else rigidity_report(graph, ref).rank
+    rank, required = rigidity_rank(graph, ref), required_rank(graph)
     rigid = rank == required
     loc = lap.localizability
     lam = loc.min_eigenvalue
@@ -487,7 +492,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    ctx, _ = _context(args.scenario, args)
+    ctx, _ = _context(args.scenario, args, integrate=False)
     print(_json(_spectrum(ctx)))
     return EXIT_OK
 

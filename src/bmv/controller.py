@@ -133,8 +133,9 @@ class ClosedLoop:
 
     @cached_property
     def spectrum(self) -> HurwitzReport:
-        """The closed-loop spectrum, from mu (see closed_loop_spectrum)."""
-        return closed_loop_spectrum(self.lap.modes[0], self.gains)
+        """The closed-loop spectrum, from lap.mu (see closed_loop_spectrum): the
+        modes' mu in a run, and one eigvalsh where nothing steps."""
+        return closed_loop_spectrum(self.lap.mu, self.gains)
 
     @cached_property
     def amplification(self) -> float:

@@ -65,8 +65,9 @@ class BearingLaplacian:
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu, U, W), read-only: L_ff = U diag(mu) U^T, mu ascending, W = U^T L_fl.
-        The one eigensolve of L_ff of a command that needs U; everything built
-        from L_ff then reads it."""
+        The one eigensolve of L_ff of a run, which steps the loop along U;
+        computed first, it is also what mu and follower_map then read.  A
+        command that reads no U never computes it."""
         mu, U = np.linalg.eigh(self.L_ff)
         modes = (mu, U, U.T @ self.L_fl)
         for array in modes:
@@ -98,9 +99,12 @@ class BearingLaplacian:
 
     @cached_property
     def follower_map(self) -> np.ndarray:
-        """T_fl = -L_ff^-1 L_fl = -U diag(1/mu) W: stacked leader to follower targets.
+        """T_fl = -L_ff^-1 L_fl: stacked leader to follower targets.
 
-        Raises NotLocalizable on a singular follower block and ArithmeticError
+        From the modes when they are already computed, as -U diag(1/mu) W
+        with one refinement step, which wins back the accuracy 1/mu costs the
+        eigenvectors; otherwise from one solve, which forms no U.  Raises
+        NotLocalizable on a singular follower block and ArithmeticError
         unless the Frobenius norm of L_ff T_fl + L_fl, which bounds every
         target's residual per unit ||p_l||, is below SOLVE_RESIDUAL_TOL.
         """
@@ -109,11 +113,13 @@ class BearingLaplacian:
             raise NotLocalizable(
                 f"follower block is singular (min eigenvalue {loc.min_eigenvalue:.3e})"
             )
-        mu, U, W = self.modes
-        inverse = U / mu  # L_ff^-1 = inverse @ U^T
-        T = -inverse @ W
-        # One refinement step wins back the accuracy 1/mu costs the eigenvectors.
-        T -= inverse @ (U.T @ (self.L_ff @ T + self.L_fl))
+        if "modes" in self.__dict__:
+            mu, U, W = self.modes
+            inverse = U / mu  # L_ff^-1 = inverse @ U^T
+            T = -inverse @ W
+            T -= inverse @ (U.T @ (self.L_ff @ T + self.L_fl))
+        else:
+            T = np.linalg.solve(self.L_ff, -self.L_fl)
         residual = np.linalg.norm(self.L_ff @ T + self.L_fl)
         if residual >= SOLVE_RESIDUAL_TOL:
             raise ArithmeticError(f"follower solve residual {residual:.3e} exceeds tolerance")

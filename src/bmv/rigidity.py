@@ -9,7 +9,8 @@ The singular values come from one symmetric eigensolve of the Gram matrix
 R^T R, which is the bearing Laplacian with edge weights 1/|e|^2; the SVD of R
 itself is kept for formations too close to singular for that to be exact.
 A verdict alone needs less: one Cholesky factorisation of the same matrix
-proves rigidity when it succeeds.
+proves rigidity when it succeeds, and rigidity_rank asks for the singular
+values only when it does not.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def certify_rigid(graph: FormationGraph, config: Configuration) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())  # numpy factors inf and nan without complaint
+
+
+def rigidity_rank(graph: FormationGraph, config: Configuration) -> int:
+    """The rank rigidity_report finds, by the cheapest exact route: the
+    required rank when certify_rigid proves it, so that only a formation it
+    cannot prove pays for the singular values."""
+    if certify_rigid(graph, config):
+        return required_rank(graph)
+    return rigidity_report(graph, config).rank
 
 
 def rigidity_report(graph: FormationGraph, config: Configuration) -> RigidityReport:

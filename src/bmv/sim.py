@@ -49,7 +49,7 @@ from .formation import (
     sum_squares,
 )
 from .laplacian import BearingLaplacian
-from .rigidity import RigidityReport, rigidity_report
+from .rigidity import RigidityReport, required_rank, rigidity_rank, rigidity_report
 
 logger = logging.getLogger(__name__)
 
@@ -133,13 +133,20 @@ class ResolvedSegment(NamedTuple):
 
 
 class SimContext:
-    """Validated scenario with everything precomputed for stepping."""
+    """Validated scenario with everything precomputed for stepping.  Given no
+    ``rigidity`` report, it makes the reference formation's when first read."""
 
     def __init__(self, scenario: Scenario, bearing_spec: BearingSpec,
-                 laplacian: BearingLaplacian, rigidity: RigidityReport,
+                 laplacian: BearingLaplacian, rigidity: RigidityReport | None,
                  segments: tuple[ResolvedSegment, ...], loop: ClosedLoop) -> None:
         self.scenario, self.bearing_spec, self.laplacian = scenario, bearing_spec, laplacian
-        self.rigidity, self.segments, self.loop = rigidity, segments, loop
+        self.segments, self.loop = segments, loop
+        if rigidity is not None:
+            self.rigidity = rigidity
+
+    @cached_property
+    def rigidity(self) -> RigidityReport:
+        return rigidity_report(self.graph, self.scenario.reference_config)
 
     @property
     def graph(self) -> FormationGraph:
@@ -198,38 +205,54 @@ class ExponentialFit(NamedTuple):
     r_squared: float
 
 
-def structure(scenario: Scenario) -> tuple[BearingSpec, BearingLaplacian]:
-    """The reference formation's bearings and Laplacian.  Raises ValueError first
-    when its dense matrices, d*n by up to d*max(n, m), exceed MAX_RUN_ELEMENTS."""
-    graph = scenario.graph
-    entries = graph.d * graph.n * graph.d * max(graph.n, graph.m)
+def ensure_dense_fits(d: int, n: int, m: int) -> None:
+    """Raise ValueError when a formation of n agents and m edges in d dimensions
+    has dense matrices, d*n by up to d*max(n, m), of more than MAX_RUN_ELEMENTS
+    entries."""
+    entries = d * n * d * max(n, m)
     if entries > MAX_RUN_ELEMENTS:
-        raise ValueError(f"a formation of n = {graph.n} agents and m = {graph.m} edges in "
-                         f"d = {graph.d} dimensions needs matrices of {entries} entries, "
+        raise ValueError(f"a formation of n = {n} agents and m = {m} edges in "
+                         f"d = {d} dimensions needs matrices of {entries} entries, "
                          f"more than the {MAX_RUN_ELEMENTS} it may have")
+
+
+def structure(scenario: Scenario) -> tuple[BearingSpec, BearingLaplacian]:
+    """The reference formation's bearings and Laplacian, after ensure_dense_fits."""
+    graph = scenario.graph
+    ensure_dense_fits(graph.d, graph.n, graph.m)
     spec = BearingSpec.from_configuration(graph, scenario.reference_config)
     return spec, BearingLaplacian(graph, spec)
 
 
-def assemble(scenario: Scenario, force: bool = False) -> SimContext:
+def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) -> SimContext:
     """Validate a scenario and precompute everything a run needs.
 
     Raises NotRigid or NotLocalizable when the reference formation fails the
     structural requirements, and ScheduleGap when the schedule does not tile
     [0, duration].  ``force`` downgrades the first two to warnings for
-    deliberately broken experiments.
+    deliberately broken experiments.  With ``integrate`` it computes the
+    rigidity report and the modes first, so that mu, the follower map and
+    the loop read that one eigh.  Without it the verdicts take the cheapest
+    exact route, for a caller that only reads the spectrum: rigidity_rank,
+    then mu from one eigvalsh and the follower targets from one solve; the
+    report and the modes are made if and when they are first read.
     """
     graph = scenario.graph
     ref = scenario.reference_config
     spec, lap = structure(scenario)
-    rigidity = rigidity_report(graph, ref)
-    lap.modes  # the eigh that localizability then reads, and the loop after it
+    if integrate:
+        rigidity = rigidity_report(graph, ref)
+        rank = rigidity.rank
+        lap.modes  # the eigh that mu, the follower map and the loop then read
+    else:
+        rigidity, rank = None, rigidity_rank(graph, ref)
+    required = required_rank(graph)
     localizability = lap.localizability
 
-    if not rigidity.is_infinitesimally_bearing_rigid:
+    if rank != required:
         message = (
             f"reference formation is not infinitesimally bearing rigid "
-            f"(rank {rigidity.rank}, need {rigidity.required_rank})"
+            f"(rank {rank}, need {required})"
         )
         if not force:
             raise NotRigid(message)
@@ -291,7 +314,7 @@ def assemble(scenario: Scenario, force: bool = False) -> SimContext:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
     logger.info("assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e", graph.n, d,
-                graph.m, rigidity.rank, rigidity.required_rank, localizability.min_eigenvalue)
+                graph.m, rank, required, localizability.min_eigenvalue)
     return SimContext(scenario=scenario, bearing_spec=spec, laplacian=lap, rigidity=rigidity,
                       segments=tuple(segments), loop=ClosedLoop(lap, scenario.gains, scenario.dt))
 

@@ -115,6 +115,22 @@ def random_formation(
     return graph, Configuration(random_points(rng, n, d))
 
 
+def jittered_lattice(
+    rng: np.random.Generator, side: int, d: int, k: int, n_leaders: int = 1
+) -> tuple[FormationGraph, Configuration]:
+    """The side^d grid of unit spacing, each point moved uniformly within
+    +-0.25 per axis, with an edge from each point to its k nearest others."""
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = grid + rng.uniform(-0.25, 0.25, size=grid.shape)
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    np.fill_diagonal(dists, np.inf)
+    nearest = np.argsort(dists, axis=1)[:, : min(k, len(pts) - 1)]
+    edges = sorted({(min(i, j), max(i, j)) for i, row in enumerate(nearest.tolist())
+                    for j in row})
+    graph = FormationGraph(n=len(pts), d=d, edges=tuple(edges), n_leaders=n_leaders)
+    return graph, Configuration(pts)
+
+
 SQUARE_POINTS = np.array([
     [0.0, 0.0],
     [1.0, 0.0],

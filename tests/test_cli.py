@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -702,11 +703,13 @@ def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, 
 
 
 def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
-    # Localizability, the follower map, the spectrum and the loop's modes all
-    # come from one symmetric eigensolve of the follower block per scenario,
-    # and the rigidity report from one of the rigidity Gram matrix.  check
-    # reads neither eigenvectors nor singular values: one eigvalsh of the
-    # follower block, and one Cholesky that proves the rank.
+    # In a run, localizability, the follower map, the spectrum and the loop's
+    # modes all come from one symmetric eigensolve of the follower block per
+    # scenario, and the rigidity report from one of the rigidity Gram matrix.
+    # check and spectrum read neither eigenvectors nor singular values: one
+    # Cholesky proves the rank and one eigvalsh of the follower block gives
+    # mu; spectrum also solves the follower block for the targets.  A
+    # formation the Cholesky cannot prove adds the Gram matrix's eigvalsh.
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"numpy.linalg.{name} called")
@@ -721,17 +724,27 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
             return solver(*args, **kwargs)
         return call
 
-    for name in ("svd", "eigvals", "solve"):
+    for name in ("svd", "eigvals"):
         monkeypatch.setattr(np.linalg, name, refuse(name))
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, count(name))
     path = str(bundled_scenario_path("narrow_passage_2d"))
     other = str(bundled_scenario_path("narrow_passage_3d"))
+    # the square plus a follower 4e-6 from leader a, on edges to a, b and d:
+    # sigma_min / sigma_max of about 3.6e-6 is rigid to the report's Gram
+    # route, and too small for the certificate to prove
+    base = small_doc()
+    declined = tmp_path / "declined.json"
+    declined.write_text(json.dumps(small_doc(
+        agents=base["agents"] + [{"id": "e", "role": "follower"}],
+        reference_positions={**base["reference_positions"], "e": [4e-6, 4e-6]},
+        edges=base["edges"] + [["a", "e"], ["b", "e"], ["d", "e"]])))
     out = tmp_path / "out"
     for argv, expected in (
         (["check", path], ["cholesky", "eigvalsh"]),
         (["run", path, "--out", str(out), "--decimate", "100"], ["eigh", "eigvalsh"]),
-        (["spectrum", path], ["eigh", "eigvalsh"]),
+        (["spectrum", path], ["cholesky", "eigvalsh", "solve"]),
+        (["spectrum", str(declined)], ["cholesky", "eigvalsh", "eigvalsh", "solve"]),
         (["batch", path, other, "--out", str(tmp_path / "batch"), "--decimate", "100"],
          ["eigh"] * 2 + ["eigvalsh"] * 2),
     ):
@@ -787,6 +800,61 @@ def test_check_prints_the_same_with_the_rigidity_svd(name, monkeypatch, capsys):
     monkeypatch.setattr(bmv.rigidity, "_gram_singular_values", lambda graph, config: None)
     assert main(["check", path]) == EXIT_OK
     assert capsys.readouterr().out == certified
+
+
+@pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
+def test_spectrum_agrees_with_the_summary(name, tmp_path, capsys):
+    # spectrum reads mu from one eigvalsh of the follower block, and the
+    # summary from the eigh of the run; the two agree to rounding
+    path = str(bundled_scenario_path(name))
+    assert main(["spectrum", path]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert main(["run", path, "--out", str(tmp_path), "--decimate", "1000"]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    ran = {**summary["spectrum"],
+           "max_step_amplification": summary["integration"]["max_step_amplification"]}
+    assert printed.keys() == ran.keys()
+    got, want = (np.array(doc["eigenvalues"]) for doc in (printed, ran))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.hypot(*want.T).max()
+    assert printed["is_hurwitz"] == ran["is_hurwitz"]
+    for key in ("convergence_horizon", "max_step_amplification"):
+        assert printed[key] == pytest.approx(ran[key], rel=1e-12, abs=0.0)
+
+
+def test_spectrum_of_an_all_leader_formation(tmp_path, capsys):
+    # L_ff is empty: the follower targets come from a solve of a 0x0 block
+    path = tmp_path / "leaders.json"
+    path.write_text(json.dumps(small_doc(agents=[{"id": a, "role": "leader"} for a in "abcd"])))
+    assert main(["spectrum", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{\n  "convergence_horizon": null,\n  "eigenvalues": [],\n  "is_hurwitz": true,\n'
+        '  "max_real_part": null,\n  "max_step_amplification": 0.0\n}\n')
+
+
+def test_forced_spectrum_of_a_flexible_formation_warns_with_the_reports_rank(
+        tmp_path, capsys, caplog, monkeypatch):
+    # four edges from the two leaders pin both followers, but cannot make a
+    # formation of four agents in the plane bearing rigid: the certificate
+    # declines, and the rank in the warning is the report's
+    path = tmp_path / "flexible.json"
+    path.write_text(json.dumps(small_doc(edges=[["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]])))
+    reports = []
+
+    def report(graph, config):
+        reports.append(rigidity_report(graph, config))
+        return reports[-1]
+
+    monkeypatch.setattr(bmv.rigidity, "rigidity_report", report)
+    assert main(["spectrum", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: reference formation is not infinitesimally "
+                                       "bearing rigid (rank 4, need 5)\n")
+    with caplog.at_level(logging.WARNING, logger="bmv.sim"):
+        assert main(["spectrum", str(path), "--force"]) == EXIT_OK
+    assert [record.getMessage() for record in caplog.records] == [
+        "reference formation is not infinitesimally bearing rigid (rank 4, need 5); "
+        "continuing because force=True"]
+    assert [r.rank for r in reports] == [4, 4]
 
 
 def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):
@@ -950,6 +1018,30 @@ def test_a_formation_too_large_for_dense_matrices_ends_in_one_line(tmp_path):
             "needs matrices of 225000000 entries, more than the 67108864 it may have\n")
     assert done.stderr == line * 3
     assert not (tmp_path / "out").exists()
+
+
+def test_an_oversized_document_is_refused_before_any_agent_is_read(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a 2-D chain of 100,000 agents: the lengths of agents and edges already
+    # exceed the dense-matrix bound, so parsing ends there, with the line
+    # sim.structure gives a library caller
+    ids = [f"a{k}" for k in range(100_000)]
+    doc = small_doc(
+        agents=[{"id": a, "role": "leader" if k < 2 else "follower"} for k, a in enumerate(ids)],
+        reference_positions={a: [float(k), float(k % 2)] for k, a in enumerate(ids)},
+        edges=[[a, b] for a, b in zip(ids, ids[1:])])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+
+    def read(*args):
+        raise AssertionError("an agent was read")
+
+    monkeypatch.setattr(bmv.cli, "_as_vector", read)
+    monkeypatch.setattr(bmv.cli, "_trajectory_header", read)
+    assert main(["check", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: a formation of n = 100000 agents and m = 99999 edges in d = 2 dimensions "
+        "needs matrices of 40000000000 entries, more than the 67108864 it may have\n")
 
 
 @pytest.mark.parametrize("command, code", [("spectrum", EXIT_OK), ("run", EXIT_VALIDATION)])

@@ -20,7 +20,8 @@ from bmv import (
     rigidity_report,
 )
 from bmv.rigidity import TAU_RANK, certify_rigid
-from conftest import SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, random_formation
+from conftest import (SQUARE_EDGES, SQUARE_POINTS, fd_bearing_jacobian, jittered_lattice,
+                      random_formation)
 
 
 def test_two_agents_hand_computed():
@@ -199,11 +200,16 @@ def _pushed(seed, n, d, edge_prob, offset):
     d=st.integers(2, 3),
     edge_prob=st.sampled_from([1.0, 0.6]),
     offset=st.sampled_from([None, 0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2]),
+    side=st.one_of(st.none(), st.integers(2, 4)),  # a jittered lattice instead
+    k=st.integers(2, 6),
 )
-@example(seed=0, n=3, d=2, edge_prob=1.0, offset=1e-7)
-def test_a_certified_formation_has_full_rank(seed, n, d, edge_prob, offset):
+@example(seed=0, n=3, d=2, edge_prob=1.0, offset=1e-7, side=None, k=2)
+def test_a_certified_formation_has_full_rank(seed, n, d, edge_prob, offset, side, k):
     # The Cholesky certificate never calls rigid what the report does not.
-    if offset is None:
+    if side is not None:
+        graph, cfg = jittered_lattice(np.random.default_rng(seed), side, d, k)
+        n = graph.n
+    elif offset is None:
         graph, cfg = random_formation(np.random.default_rng(seed), n, d, edge_prob=edge_prob)
     else:
         graph, cfg = _pushed(seed, n, d, edge_prob, offset)

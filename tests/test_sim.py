@@ -437,6 +437,18 @@ def test_run_is_equivariant_under_translation_and_scaling(a, b):
     np.testing.assert_allclose(moved.xi, a * base.xi, rtol=0, atol=tol)
 
 
+def test_a_context_assembled_not_to_integrate_still_runs():
+    # assemble(integrate=False) makes neither the modes nor the rigidity
+    # report; a run of it makes both when it first reads them, and agrees
+    # with a run of the default context to rounding
+    scenario = _square_scenario(duration=0.5)
+    lean, full = assemble(scenario, integrate=False), assemble(scenario)
+    assert "modes" not in lean.laplacian.__dict__ and "rigidity" not in lean.__dict__
+    assert lean.rigidity.rank == full.rigidity.rank == 5
+    np.testing.assert_array_equal(lean.rigidity.singular_values, full.rigidity.singular_values)
+    np.testing.assert_allclose(run(lean).positions, run(full).positions, rtol=0.0, atol=1e-12)
+
+
 def test_all_leader_formation_runs():
     graph = FormationGraph(n=4, d=2, edges=SQUARE_EDGES, n_leaders=4)
     scenario = _square_scenario(graph=graph, duration=0.5)
