@@ -13,6 +13,7 @@ Set BMV_LOG=DEBUG (or INFO, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import BLOCK_STEPS, Gains
+from .controller import Gains
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
 from .formation import Configuration, FormationGraph, scale
 from .rigidity import required_rank, rigidity_rank
@@ -293,18 +294,196 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+# trajectory.csv and xi.csv write each float as repr does: the fewest
+# significant digits that read back as the same float and, of those, the
+# nearest to it.  _csv_keys finds them for a block of values at once in
+# fixed-width arithmetic, as Ryu does (Adams, PLDI 2018).  It scales |x| to
+# V = |x| 10**p in [1e16, 2e17) as a double-double, so the decimals that read
+# back as x are the integers within half a float spacing of V, then takes the
+# largest j with a multiple of 10**j among them and the multiple nearest V.
+# A value it cannot settle that way is declined, and repr writes its row:
+# one outside CSV_FAST_RANGE, or an interval end or a tie within CSV_SLACK
+# of an integer.  Zero, infinities and nan have texts of their own.
+CSV_BLOCK_VALUES = 2048  # a block's temporaries are about 400 bytes a value
+CSV_FAST_RANGE = (1e-240, 1e240)
+CSV_SLACK = 1e-7
+_EXPONENTS = range(math.frexp(CSV_FAST_RANGE[0])[1], math.frexp(CSV_FAST_RANGE[1])[1] + 1)
+# The 36 source bytes a value's text is gathered from, by what each holds:
+# '0', the 17 digits of the significand right-aligned (A the first), the
+# decimal exponent's three digits X, Y, Z, then constants; '_' is unused.
+_SOURCE = "0__ABCDEFGHIJKLMNOPQ_XYZ-.e+infa,\n\0_"
+# A template per sign, digit count 1..17 and form: fixed notation with
+# -3..16 digits before the point, then e+XX, e+XXX, e-XX and e-XXX.  Then the
+# texts of their own, the last, empty, for a declined value.
+_FORMS = 24
+_FAST_KEYS = 2 * 17 * _FORMS
+_SPECIALS = ("0.0", "-0.0", "inf", "-inf", "nan", "")
+_KEYS = _FAST_KEYS + len(_SPECIALS)
+_WIDTH = 25  # "-1.2345678901234567e-240" and a separator
+
+
+class _CsvTables(NamedTuple):
+    scale: np.ndarray      # per binary exponent in _EXPONENTS: 10**p as hi + lo,
+                           # hi's two halves, and half the float spacing times 10**p
+    p: np.ndarray          # and p
+    pow10: np.ndarray      # 10**j as int64, j = 0..18
+    groups: np.ndarray     # the four ASCII digits of 0..9999, a uint32 each
+    templates: np.ndarray  # the source byte of each text byte, per key, with
+                           # a comma, then per key with a line feed
+    constants: np.ndarray  # _SOURCE[24:] as three uint32 words
+
+
+def _template(key: int) -> str:
+    """The text of template ``key``, in the letters of _SOURCE."""
+    if key >= _FAST_KEYS:
+        return _SPECIALS[key - _FAST_KEYS]
+    ndig, form = key // _FORMS % 17 + 1, key % _FORMS
+    digits = "ABCDEFGHIJKLMNOPQ"[17 - ndig :]
+    point = form - 3
+    if form >= 20:
+        negative, wide = divmod(form - 20, 2)
+        text = digits[0] + ("." + digits[1:] if ndig > 1 else "") + "e" + "+-"[negative]
+        text += "XYZ"[1 - wide :]
+    elif point <= 0:
+        text = "0." + "0" * -point + digits
+    elif point < ndig:
+        text = digits[:point] + "." + digits[point:]
+    else:
+        text = digits + "0" * (point - ndig) + ".0"
+    return "-" * (key >= 17 * _FORMS) + text
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The formatter's tables, built on the first CSV written."""
+    e = np.array(_EXPONENTS)
+    p = 16 - np.floor((e - 1) * math.log10(2)).astype(np.int64)  # |x| 10**p in [1e16, 2e17)
+    powers = []
+    for q in range(p.min(), p.max() + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        half = hi * 134217729.0
+        half -= half - hi
+        powers.append((hi, (num * d - n * den) / (den * d), half, hi - half))
+    scale = np.array(powers).T[:, p - p.min()]
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    byte = str.maketrans({c: k for k, c in enumerate(_SOURCE) if c != "_"})
+    texts = [_template(key) for key in range(_KEYS)]
+    templates = "".join((text + sep).ljust(_WIDTH, "\0") for sep in ",\n" for text in texts)
+    tables = _CsvTables(np.vstack([scale, np.ldexp(scale[0], e - 54)]), p,
+                        10 ** np.arange(19, dtype=np.int64),
+                        digits.astype(np.uint8).view(np.uint32).ravel(),
+                        np.frombuffer(templates.translate(byte).encode("latin-1"),
+                                      np.uint8).reshape(-1, _WIDTH),
+                        np.frombuffer(_SOURCE[24:].encode("latin-1"), np.uint32))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_keys(x: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's template key, and the 36 source bytes its template reads."""
+    tab = _csv_tables()
+    a = np.abs(x)
+    ok = (a >= CSV_FAST_RANGE[0]) & (a <= CSV_FAST_RANGE[1])
+    a[~ok] = 1.0
+    m, e = np.frexp(a)
+    e -= _EXPONENTS[0]
+    hi, lo, hi_1, hi_2, above = np.take(tab.scale, e, axis=1)
+    p = np.take(tab.p, e)
+    # V = a 10**p = a (hi + lo) = d + f, with a hi exact in two parts (Dekker)
+    a_1 = a * 134217729.0
+    a_1 -= a_1 - a
+    a_2 = a - a_1
+    v = a * hi
+    r = (((a_1 * hi_1 - v) + a_1 * hi_2) + a_2 * hi_1) + a_2 * hi_2 + a * lo
+    whole = np.floor(r)
+    f = r - whole
+    d = v.astype(np.int64) + whole.astype(np.int64)
+    # the integers that read back as x: d + [ceil(f - below), floor(f + above)],
+    # where below is above but at a power of two, whose lower neighbour is nearer
+    low = f - np.where(m == 0.5, above / 2, above)
+    high = f + above
+    ok &= (np.abs(low - np.rint(low)) >= CSV_SLACK) & (np.abs(high - np.rint(high)) >= CSV_SLACK)
+    lower = d + np.ceil(low).astype(np.int64)
+    upper = d + np.floor(high).astype(np.int64)
+    # j, the largest with a multiple of 10**j in [lower, upper]: most values
+    # stop below 2, the rest are bisected
+    j = (upper // 10 * 10 >= lower).astype(np.intp) + (upper // 100 * 100 >= lower)
+    rest = np.flatnonzero(j == 2)
+    if rest.size:
+        low_rest, up_rest = lower[rest], upper[rest]
+        known, past = np.full(rest.size, 2), np.full(rest.size, 18)
+        for _ in range(4):
+            mid = (known + past) // 2
+            step = np.take(tab.pow10, mid)
+            fits = up_rest // step * step >= low_rest
+            known, past = np.where(fits, mid, known), np.where(fits, past, mid)
+        j[rest] = known
+    # c 10**j, the multiple nearest V; a tie is declined
+    step = np.take(tab.pow10, j)
+    c = d // step
+    below = c * step
+    gap = (d - below) + f
+    c += (below < lower) | (below + step <= upper) & (step - gap < gap)
+    ok &= np.abs(step - 2 * gap) >= CSV_SLACK
+    ndig = np.searchsorted(tab.pow10, c, side="right")
+    point = ndig + j - p
+    exponent = np.abs(point - 1)
+    form = np.where((point > -4) & (point <= 16), point + 3,
+                    np.where(point > 0, 20, 22) + (exponent >= 100))
+    key = (np.signbit(x) * 17 + ndig - 1) * _FORMS + form
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        y = x[bad]
+        own = _FAST_KEYS + np.signbit(y)
+        key[bad] = np.select([y == 0, np.isinf(y), np.isnan(y)],
+                             [own, own + 2, _FAST_KEYS + 4], _KEYS - 1)
+    key.reshape(-1, cols)[:, -1] += _KEYS
+    # c's digits four at a time, then the exponent's
+    q8 = c // 10**8
+    r8 = c - q8 * 10**8
+    q12 = q8 // 10**4
+    q16 = q12 // 10**4
+    r4 = r8 // 10**4
+    source = np.empty((x.size, 9), dtype=np.uint32)
+    np.take(tab.groups, np.stack([q16, q12 - q16 * 10**4, q8 - q12 * 10**4, r4,
+                                  r8 - r4 * 10**4, exponent], axis=1), out=source[:, :6])
+    source[:, 6:] = tab.constants
+    return key, source.view(np.uint8)
+
+
+def _csv_lines(table: np.ndarray) -> str:
+    """The CSV lines of a C-ordered float64 ``table``, every value written as
+    repr writes it: by the numpy kernel above, and a row holding a value the
+    kernel declines by repr."""
+    rows, cols = table.shape
+    key, source = _csv_keys(table.ravel(), cols)
+    index = np.take(_csv_tables().templates, key, axis=0) + np.arange(0, source.size, 36)[:, None]
+    text = np.take(source, index).reshape(rows, -1)
+    declined = (key.reshape(rows, cols) % _KEYS == _KEYS - 1).any(axis=1)
+    cuts = [0, *(np.flatnonzero(np.diff(declined)) + 1).tolist(), rows]
+    return "".join([
+        "".join([",".join(map(repr, row)) + "\n" for row in table[start:stop].tolist()])
+        if declined[start] else text[start:stop].tobytes().translate(None, b"\0").decode("ascii")
+        for start, stop in zip(cuts, cuts[1:])])
+
+
 def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
     """Write the header, then every ``decimate``-th sample and the final one, a
-    row each, as UTF-8.  The rows are formatted and written BLOCK_STEPS at a
-    time, so the text held is one block's, however long the file."""
+    row each, as UTF-8.  The rows are formatted and written CSV_BLOCK_VALUES
+    values (at least a row) at a time, so the text held is one block's, however
+    long the file."""
     last = len(columns[0]) - 1
     rows = kept_rows(last, decimate)
+    block = max(1, CSV_BLOCK_VALUES // len(header))
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        for start in range(0, len(rows), BLOCK_STEPS):
-            picked = np.minimum(rows[start : start + BLOCK_STEPS], last)
-            table = np.column_stack([column[picked] for column in columns])
-            out.write("".join([",".join(map(repr, row)) + "\n" for row in table.tolist()]))
+        for start in range(0, len(rows), block):
+            picked = np.minimum(rows[start : start + block], last)
+            out.write(_csv_lines(np.column_stack([column[picked] for column in columns])))
 
 
 def _columns(labels, d: int) -> list[str]:
@@ -323,7 +502,7 @@ def write_trajectory_csv(
 ) -> None:
     """Write the kept samples of ``traj`` as trajectory.csv: every ``decimate``-th
     and the final one, each value the repr of a float, which round-trips
-    exactly.  Memory beyond ``traj`` is one block of rows (see _write_csv)."""
+    exactly.  Memory beyond ``traj`` is one block of values (see _write_csv)."""
     _write_csv(path, _trajectory_header(labels, traj.d),
                [traj.times, traj.positions, traj.bearing_error, traj.tracking_error,
                 traj.centroid, traj.scale], decimate)

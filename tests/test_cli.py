@@ -590,6 +590,84 @@ def test_writing_a_trajectory_holds_one_block_of_rows(tmp_path):
     assert max(peaks) < 2 * 2**20, peaks
 
 
+def test_writing_a_wide_table_holds_one_block_of_values(tmp_path):
+    # rows of 389 values, as wide as the widest benchmark formation's: blocks
+    # are counted in values, so the writer's first call, which builds its
+    # tables, stays under the same bound as the narrow one above.  A block of
+    # 128 rows held 3.0 MB of text; more rows than 500 would add only time.
+    probe = (
+        "import sys, tracemalloc\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from bmv.cli import _write_csv\n"
+        "table = np.random.default_rng(0).standard_normal((500, 389))\n"
+        "header = [f'c{k}' for k in range(389)]\n"
+        "tracemalloc.start()\n"
+        "_write_csv(Path(sys.argv[1]), header, [table], 1)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = Path(bmv.__file__).resolve().parents[1]
+    path = tmp_path / "wide.csv"
+    peak = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120).stdout
+    lines = path.read_text().splitlines()
+    table = np.random.default_rng(0).standard_normal((500, 389))[[0, -1]]
+    assert [len(lines), lines[1], lines[-1]] == [501, *_repr_lines(table).splitlines()]
+    assert int(peak) < 2 * 2**20, peak
+
+
+def _repr_lines(table: np.ndarray) -> str:
+    """The CSV lines of ``table`` as repr writes each value: the specification."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in table.tolist()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.floats(), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+@example(table=[[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
+def test_csv_values_are_their_repr(table):
+    table = np.array(table, dtype=np.float64)
+    assert bmv.cli._csv_lines(table) == _repr_lines(table)
+
+
+def test_csv_values_are_their_repr_at_every_scale(tmp_path):
+    # every power of two and of ten the numpy kernel takes, each with its
+    # neighbours; repr's switches between fixed and exponent notation; the
+    # integers around 2**53; and random bit patterns, written through the
+    # writer's own blocks
+    values = [float(f"1e{k}") for k in range(-240, 241)] + [2.0**k for k in range(-797, 798)]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf),
+                             [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1e15],
+                             2.0**53 + np.arange(-64.0, 65.0)])
+    # sorted, the bit patterns the kernel declines (a fifth) share rows
+    bits = np.random.default_rng(26).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = np.concatenate([values, -values, np.sort(bits.view(np.float64))])
+    table = values[: values.size // 8 * 8].reshape(-1, 8)
+    path = tmp_path / "values.csv"
+    bmv.cli._write_csv(path, [f"c{k}" for k in range(8)], [table], 1)
+    header, lines = path.read_text().split("\n", 1)
+    assert header == "c0,c1,c2,c3,c4,c5,c6,c7"
+    assert lines == _repr_lines(table)
+
+
+def test_a_row_holding_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
+    # 5e-324 and 1e300 lie outside the kernel's range; their rows, and theirs
+    # alone, go to repr, between rows the kernel writes, nan of either sign too
+    table = np.array([[0.5, 1 / 3], [5e-324, 2.0], [0.1, 0.2], [1e300, -1e-300],
+                      [-math.nan, math.nan]])
+    written = []
+
+    def spy(value):
+        written.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(bmv.cli, "repr", spy, raising=False)
+    assert bmv.cli._csv_lines(table) == _repr_lines(table)
+    assert written == [5e-324, 2.0, 1e300, -1e-300]
+
+
 @pytest.mark.parametrize("split", [4.0, 5.0])
 def test_decay_fit_ignores_a_segment_the_run_never_reaches(split):
     # the run ends at t = 4, so the fit is over the last segment it integrates
@@ -1022,14 +1100,16 @@ def test_a_formation_too_large_for_dense_matrices_ends_in_one_line(tmp_path):
 
 def test_an_oversized_document_is_refused_before_any_agent_is_read(tmp_path, capsys,
                                                                   monkeypatch):
-    # a 2-D chain of 100,000 agents: the lengths of agents and edges already
+    # a 3-D chain of 3,000 agents: the lengths of agents and edges already
     # exceed the dense-matrix bound, so parsing ends there, with the line
     # sim.structure gives a library caller
-    ids = [f"a{k}" for k in range(100_000)]
+    ids = [f"a{k}" for k in range(3_000)]
     doc = small_doc(
+        dimension=3,
         agents=[{"id": a, "role": "leader" if k < 2 else "follower"} for k, a in enumerate(ids)],
-        reference_positions={a: [float(k), float(k % 2)] for k, a in enumerate(ids)},
-        edges=[[a, b] for a, b in zip(ids, ids[1:])])
+        reference_positions={a: [float(k), float(k % 2), 0.0] for k, a in enumerate(ids)},
+        edges=[[a, b] for a, b in zip(ids, ids[1:])],
+        schedule=[{"t0": 0.0, "t1": 5.0, "vc": [0.1, 0.0, 0.0], "scale_rate": 0.0}])
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
 
@@ -1040,8 +1120,8 @@ def test_an_oversized_document_is_refused_before_any_agent_is_read(tmp_path, cap
     monkeypatch.setattr(bmv.cli, "_trajectory_header", read)
     assert main(["check", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        "error: a formation of n = 100000 agents and m = 99999 edges in d = 2 dimensions "
-        "needs matrices of 40000000000 entries, more than the 67108864 it may have\n")
+        "error: a formation of n = 3000 agents and m = 2999 edges in d = 3 dimensions "
+        "needs matrices of 81000000 entries, more than the 67108864 it may have\n")
 
 
 @pytest.mark.parametrize("command, code", [("spectrum", EXIT_OK), ("run", EXIT_VALIDATION)])
@@ -1664,12 +1744,14 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_only_run_imports_numpy_random(scenario_file, tmp_path):
-    # check and spectrum never draw the seeded start; batch alone starts a pool
+    # check and spectrum never draw the seeded start, nor build the CSV
+    # formatter's tables; batch alone starts a pool
     src = Path(bmv.__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
         "import bmv.cli\n"
-        "lean = lambda: [m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules]\n"
+        "lean = lambda: [m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules]"
+        " + ['tables'] * bmv.cli._csv_tables.cache_info().currsize\n"
         "seen = [lean()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in sys.argv[1:]:\n"
@@ -1684,4 +1766,4 @@ def test_only_run_imports_numpy_random(scenario_file, tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == str([[], [], [], ["numpy.random"]])
+    assert out.strip() == str([[], [], [], ["numpy.random", "tables"]])
