@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -282,8 +281,7 @@ def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a scenario shipped with the package."""
     if not name.endswith(".json"):
         name = name + ".json"
-    candidate = resources.files("bmv") / "scenarios" / name
-    return Path(str(candidate))
+    return Path(__file__).parent / "scenarios" / name
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +302,7 @@ def _finite(value: float) -> float | None:
 # A value it cannot settle that way is declined, and repr writes its row:
 # one outside CSV_FAST_RANGE, or an interval end or a tie within CSV_SLACK
 # of an integer.  Zero, infinities and nan have texts of their own.
-CSV_BLOCK_VALUES = 2048  # a block's temporaries are about 400 bytes a value
+CSV_BLOCK_VALUES = 2048  # a block's buffers are about 300 bytes a value
 CSV_FAST_RANGE = (1e-240, 1e240)
 CSV_SLACK = 1e-7
 _EXPONENTS = range(math.frexp(CSV_FAST_RANGE[0])[1], math.frexp(CSV_FAST_RANGE[1])[1] + 1)
@@ -383,107 +381,259 @@ def _csv_tables() -> _CsvTables:
     return tables
 
 
-def _csv_keys(x: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's template key, and the 36 source bytes its template reads."""
+class _CsvBuffers(NamedTuple):
+    """A file's block memory, allocated when it is opened and reused by every
+    block, so that formatting a block allocates nothing on its scale."""
+
+    table: np.ndarray    # the block's values
+    key: np.ndarray      # each value's template key
+    source: np.ndarray   # its 36 source bytes as nine uint32 words, the last
+                         # three _SOURCE[24:], written once
+    work: np.ndarray     # the kernel's scratch, _WIDTH int64 a value, then
+                         # the gather index
+    offsets: np.ndarray  # 36 k for value k, a column
+    flags: np.ndarray    # four booleans a value
+    text: bytearray      # the block's text, _WIDTH bytes a value, NUL-padded
+    chars: np.ndarray    # text as uint8, a row a value
+
+
+def _csv_buffers(rows: int, cols: int) -> _CsvBuffers:
+    """The buffers for blocks of up to ``rows`` rows of ``cols`` values."""
+    n = rows * cols
+    source = np.empty((n, 9), dtype=np.uint32)
+    source[:, 6:] = _csv_tables().constants
+    text = bytearray(n * _WIDTH)
+    return _CsvBuffers(np.empty((rows, cols)), np.empty(n, dtype=np.intp), source,
+                       np.empty(_WIDTH * n, dtype=np.intp), np.arange(0, 36 * n, 36)[:, None],
+                       np.empty((4, n), dtype=bool), text,
+                       np.frombuffer(text, dtype=np.uint8).reshape(n, _WIDTH))
+
+
+def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
+    """Write each value's template key to buf.key and the 36 source bytes its
+    template reads to buf.source; return the rows holding a declined value.
+    Every step writes into ``buf``: each row of w holds one array at a time,
+    reused once the array is dead, and f is w read as floats.  Each np.take
+    into a buffer is mode="clip", since under the default numpy copies out."""
     tab = _csv_tables()
-    a = np.abs(x)
-    ok = (a >= CSV_FAST_RANGE[0]) & (a <= CSV_FAST_RANGE[1])
-    a[~ok] = 1.0
-    m, e = np.frexp(a)
-    e -= _EXPONENTS[0]
-    hi, lo, hi_1, hi_2, above = np.take(tab.scale, e, axis=1)
-    p = np.take(tab.p, e)
+    size = x.size
+    w = buf.work[: _WIDTH * size].reshape(_WIDTH, size)
+    f = w.view(np.float64)
+    ok, b1, b2, b3 = buf.flags[:, :size]
+    key, source = buf.key[:size], buf.source[:size]
+    a, e, t, ti = f[0], w[1], f[12], w[9]
+    np.abs(x, out=a)
+    np.greater_equal(a, CSV_FAST_RANGE[0], out=ok)
+    np.less_equal(a, CSV_FAST_RANGE[1], out=b1)
+    ok &= b1
+    np.logical_not(ok, out=b1)
+    np.copyto(a, 1.0, where=b1)
+    # a = m 2**e as frexp splits it, read from a's bits: e from the exponent
+    # field, and m == 0.5 (b2) where the significand's bits are all zero
+    np.right_shift(w[0], 52, out=e)
+    e -= 1022 + _EXPONENTS[0]
+    np.bitwise_and(w[0], 2**52 - 1, out=w[2])
+    np.equal(w[2], 0, out=b2)
+    hi, lo, hi_1, hi_2, above = f[2:7]
+    np.take(tab.scale, e, axis=1, out=f[2:7], mode="clip")
+    p = w[7]
+    np.take(tab.p, e, out=p, mode="clip")
     # V = a 10**p = a (hi + lo) = d + f, with a hi exact in two parts (Dekker)
-    a_1 = a * 134217729.0
-    a_1 -= a_1 - a
-    a_2 = a - a_1
-    v = a * hi
-    r = (((a_1 * hi_1 - v) + a_1 * hi_2) + a_2 * hi_1) + a_2 * hi_2 + a * lo
-    whole = np.floor(r)
-    f = r - whole
-    d = v.astype(np.int64) + whole.astype(np.int64)
+    a_1, a_2, v, r = f[8], f[9], f[10], f[11]
+    np.multiply(a, 134217729.0, out=a_1)
+    np.subtract(a_1, a, out=t)
+    a_1 -= t
+    np.subtract(a, a_1, out=a_2)
+    np.multiply(a, hi, out=v)
+    np.multiply(a_1, hi_1, out=r)
+    r -= v
+    for lhs, rhs in ((a_1, hi_2), (a_2, hi_1), (a_2, hi_2), (a, lo)):
+        np.multiply(lhs, rhs, out=t)
+        r += t
+    whole, frac, d = f[0], f[1], w[2]
+    np.floor(r, out=whole)
+    np.subtract(r, whole, out=frac)
+    np.copyto(d, v, casting="unsafe")
+    np.copyto(w[3], whole, casting="unsafe")
+    d += w[3]
     # the integers that read back as x: d + [ceil(f - below), floor(f + above)],
     # where below is above but at a power of two, whose lower neighbour is nearer
-    low = f - np.where(m == 0.5, above / 2, above)
-    high = f + above
-    ok &= (np.abs(low - np.rint(low)) >= CSV_SLACK) & (np.abs(high - np.rint(high)) >= CSV_SLACK)
-    lower = d + np.ceil(low).astype(np.int64)
-    upper = d + np.floor(high).astype(np.int64)
+    low, high = f[3], f[4]
+    np.add(frac, above, out=high)
+    np.divide(above, 2, out=above, where=b2)
+    np.subtract(frac, above, out=low)
+    for end in (low, high):
+        np.rint(end, out=t)
+        np.subtract(end, t, out=t)
+        np.abs(t, out=t)
+        np.greater_equal(t, CSV_SLACK, out=b1)
+        ok &= b1
+    lower, upper = w[5], w[8]
+    np.ceil(low, out=t)
+    np.copyto(lower, t, casting="unsafe")
+    lower += d
+    np.floor(high, out=t)
+    np.copyto(upper, t, casting="unsafe")
+    upper += d
     # j, the largest with a multiple of 10**j in [lower, upper]: most values
-    # stop below 2, the rest are bisected
-    j = (upper // 10 * 10 >= lower).astype(np.intp) + (upper // 100 * 100 >= lower)
-    rest = np.flatnonzero(j == 2)
+    # stop below 2, the rest (b2) are bisected over 2..17
+    j = w[6]
+    for k, flag in ((10, b1), (100, b2)):
+        np.floor_divide(upper, k, out=ti)
+        ti *= k
+        np.greater_equal(ti, lower, out=flag)
+    np.copyto(j, b1)
+    rest = np.flatnonzero(b2)
     if rest.size:
-        low_rest, up_rest = lower[rest], upper[rest]
-        known, past = np.full(rest.size, 2), np.full(rest.size, 18)
-        for _ in range(4):
-            mid = (known + past) // 2
-            step = np.take(tab.pow10, mid)
-            fits = up_rest // step * step >= low_rest
-            known, past = np.where(fits, mid, known), np.where(fits, past, mid)
+        low_rest, up_rest, known, mid, step, u = w[13:19, : rest.size]
+        fits = b3[: rest.size]
+        np.take(lower, rest, out=low_rest, mode="clip")
+        np.take(upper, rest, out=up_rest, mode="clip")
+        known.fill(2)
+        for half in (8, 4, 2, 1):
+            np.add(known, half, out=mid)
+            np.take(tab.pow10, mid, out=step, mode="clip")
+            np.floor_divide(up_rest, step, out=u)
+            u *= step
+            np.greater_equal(u, low_rest, out=fits)
+            np.copyto(known, mid, where=fits)
         j[rest] = known
     # c 10**j, the multiple nearest V; a tie is declined
-    step = np.take(tab.pow10, j)
-    c = d // step
-    below = c * step
-    gap = (d - below) + f
-    c += (below < lower) | (below + step <= upper) & (step - gap < gap)
-    ok &= np.abs(step - 2 * gap) >= CSV_SLACK
-    ndig = np.searchsorted(tab.pow10, c, side="right")
-    point = ndig + j - p
-    exponent = np.abs(point - 1)
-    form = np.where((point > -4) & (point <= 16), point + 3,
-                    np.where(point > 0, 20, 22) + (exponent >= 100))
-    key = (np.signbit(x) * 17 + ndig - 1) * _FORMS + form
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        y = x[bad]
-        own = _FAST_KEYS + np.signbit(y)
-        key[bad] = np.select([y == 0, np.isinf(y), np.isnan(y)],
-                             [own, own + 2, _FAST_KEYS + 4], _KEYS - 1)
+    step, c, below, gap, step_f = w[10], w[11], w[13], f[14], f[15]
+    np.take(tab.pow10, j, out=step, mode="clip")
+    np.floor_divide(d, step, out=c)
+    np.multiply(c, step, out=below)
+    np.subtract(d, below, out=ti)
+    np.copyto(gap, ti)
+    gap += frac
+    np.copyto(step_f, step)
+    np.less(below, lower, out=b1)
+    np.add(below, step, out=ti)
+    np.less_equal(ti, upper, out=b2)
+    np.subtract(step_f, gap, out=t)
+    np.less(t, gap, out=b3)
+    b2 &= b3
+    b1 |= b2
+    np.add(c, 1, out=c, where=b1)
+    np.multiply(gap, 2, out=t)
+    np.subtract(step_f, t, out=t)
+    np.abs(t, out=t)
+    np.greater_equal(t, CSV_SLACK, out=b1)
+    ok &= b1
+    # c's digit count less one, from c 10**j's 16 to 18 digits, and q, the
+    # decimal exponent of c's first digit
+    ndig, q, u = w[13], w[14], w[16]
+    np.multiply(c, step, out=ti)
+    np.greater_equal(ti, 10**16, out=b1)
+    np.greater_equal(ti, 10**17, out=b2)
+    np.copyto(ndig, b1)
+    np.copyto(u, b2)
+    ndig += u
+    ndig += 15
+    ndig -= j
+    np.add(ndig, j, out=q)
+    q -= p
+    digits = w[19:]
+    exponent = digits[5]
+    np.abs(q, out=exponent)
+    # the key: (sign 17 + ndig - 1) _FORMS + form, where form is q + 4 in fixed
+    # notation (-5 < q < 16), else 20, or 22 for a negative exponent, and one
+    # more for a three-digit exponent
+    np.multiply(ndig, _FORMS, out=key)
+    np.signbit(x, out=b1)
+    np.add(key, 17 * _FORMS, out=key, where=b1)
+    form = ti
+    np.add(q, 4, out=form)
+    np.greater(q, 15, out=b1)
+    np.copyto(form, 20, where=b1)
+    np.less(q, -4, out=b1)
+    np.copyto(form, 22, where=b1)
+    np.greater_equal(exponent, 100, out=b1)
+    np.copyto(u, b1)
+    form += u
+    key += form
+    declined = []
+    if not ok.all():
+        # zero, infinities and nan have texts of their own; the other values
+        # the kernel declines (b2) are written by repr
+        own = ti
+        np.signbit(x, out=b1)
+        np.copyto(own, b1)
+        own += _FAST_KEYS
+        np.isinf(x, out=b2)
+        np.add(own, 2, out=own, where=b2)
+        np.isnan(x, out=b2)
+        np.copyto(own, _FAST_KEYS + 4, where=b2)
+        np.isfinite(x, out=b2)
+        np.not_equal(x, 0, out=b3)
+        b2 &= b3
+        np.copyto(own, _KEYS - 1, where=b2)
+        np.logical_not(ok, out=b1)
+        np.copyto(key, own, where=b1)
+        b2 &= b1
+        declined = np.flatnonzero(b2.reshape(-1, cols).any(axis=1)).tolist()
     key.reshape(-1, cols)[:, -1] += _KEYS
     # c's digits four at a time, then the exponent's
-    q8 = c // 10**8
-    r8 = c - q8 * 10**8
-    q12 = q8 // 10**4
-    q16 = q12 // 10**4
-    r4 = r8 // 10**4
-    source = np.empty((x.size, 9), dtype=np.uint32)
-    np.take(tab.groups, np.stack([q16, q12 - q16 * 10**4, q8 - q12 * 10**4, r4,
-                                  r8 - r4 * 10**4, exponent], axis=1), out=source[:, :6])
-    source[:, 6:] = tab.constants
-    return key, source.view(np.uint8)
+    q8, r8, q12 = w[0], w[1], w[2]
+    for num, k, quotient, remainder in ((c, 10**8, q8, r8), (q8, 10**4, q12, digits[2]),
+                                        (q12, 10**4, digits[0], digits[1]),
+                                        (r8, 10**4, digits[3], digits[4])):
+        np.floor_divide(num, k, out=quotient)
+        np.multiply(quotient, k, out=remainder)
+        np.subtract(num, remainder, out=remainder)
+    words = w[3:6].view(np.uint32).reshape(6, size)
+    np.take(tab.groups, digits, out=words, mode="clip")
+    np.copyto(source[:, :6], words.T)
+    return declined
 
 
-def _csv_lines(table: np.ndarray) -> str:
+def _csv_lines(table: np.ndarray, buf: _CsvBuffers) -> bytearray:
     """The CSV lines of a C-ordered float64 ``table``, every value written as
-    repr writes it: by the numpy kernel above, and a row holding a value the
-    kernel declines by repr."""
+    repr writes it: by the numpy kernel above, in ``buf``, and a row holding a
+    value the kernel declines by repr."""
     rows, cols = table.shape
-    key, source = _csv_keys(table.ravel(), cols)
-    index = np.take(_csv_tables().templates, key, axis=0) + np.arange(0, source.size, 36)[:, None]
-    text = np.take(source, index).reshape(rows, -1)
-    declined = (key.reshape(rows, cols) % _KEYS == _KEYS - 1).any(axis=1)
-    cuts = [0, *(np.flatnonzero(np.diff(declined)) + 1).tolist(), rows]
-    return "".join([
-        "".join([",".join(map(repr, row)) + "\n" for row in table[start:stop].tolist()])
-        if declined[start] else text[start:stop].tobytes().translate(None, b"\0").decode("ascii")
-        for start, stop in zip(cuts, cuts[1:])])
+    size = table.size
+    declined = _csv_keys(table.reshape(-1), cols, buf)
+    chars = buf.chars[:size]
+    np.take(_csv_tables().templates, buf.key[:size], axis=0, out=chars, mode="clip")
+    index = buf.work[: _WIDTH * size].reshape(size, _WIDTH)
+    np.copyto(index, chars)
+    index += buf.offsets[:size]
+    np.take(buf.source[:size].view(np.uint8).reshape(-1), index, out=chars, mode="clip")
+    buf.chars[size:] = 0  # a file's last block may be shorter than the buffers
+    if not declined:
+        return buf.text.translate(None, b"\0")
+    width = cols * _WIDTH
+    parts, start = [], 0
+    for row in declined:
+        parts += [buf.text[start * width : row * width].translate(None, b"\0"),
+                  (",".join(map(repr, table[row].tolist())) + "\n").encode("ascii")]
+        start = row + 1
+    parts.append(buf.text[start * width : rows * width].translate(None, b"\0"))
+    return bytearray().join(parts)
 
 
 def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
     """Write the header, then every ``decimate``-th sample and the final one, a
     row each, as UTF-8.  The rows are formatted and written CSV_BLOCK_VALUES
-    values (at least a row) at a time, so the text held is one block's, however
-    long the file."""
+    values (at least a row) at a time in buffers allocated once, when the file
+    is opened, so the memory held is one block's, however long the file."""
     last = len(columns[0]) - 1
     rows = kept_rows(last, decimate)
     block = max(1, CSV_BLOCK_VALUES // len(header))
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
+    columns = [column.reshape(last + 1, -1) for column in columns]
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode("utf-8"))
+        buf = _csv_buffers(min(block, len(rows)), len(header))
         for start in range(0, len(rows), block):
-            picked = np.minimum(rows[start : start + block], last)
-            out.write(_csv_lines(np.column_stack([column[picked] for column in columns])))
+            picked = rows[start : start + block]
+            table = buf.table[: len(picked)]
+            parts = [column[picked.start : picked.stop : picked.step] for column in columns]
+            kept = len(parts[0])
+            np.concatenate(parts, axis=1, out=table[:kept])
+            if kept < len(picked):  # the final sample stands for a row past it
+                np.concatenate([column[last] for column in columns], out=table[kept])
+            out.write(_csv_lines(table, buf))
 
 
 def _columns(labels, d: int) -> list[str]:

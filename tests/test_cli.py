@@ -617,6 +617,32 @@ def test_writing_a_wide_table_holds_one_block_of_values(tmp_path):
     assert int(peak) < 2 * 2**20, peak
 
 
+def test_writing_a_table_reuses_its_block_buffers(tmp_path):
+    # every block is formatted in the buffers allocated when the file is
+    # opened, so no block hands memory back to the system for the next one to
+    # fault in again: about 34,000 minor faults a write when each block
+    # allocated its own temporaries
+    probe = (
+        "import resource, sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from bmv.cli import _write_csv\n"
+        "values = np.random.default_rng(0).standard_normal(400_000)\n"
+        "out = Path(sys.argv[1])\n"
+        "_write_csv(out, [f'c{k}' for k in range(18)], [values[:180].reshape(10, 18)], 1)\n"
+        "for cols in (18, 389):\n"
+        "    table = values[: values.size // cols * cols].reshape(-1, cols)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    _write_csv(out, [f'c{k}' for k in range(cols)], [table], 1)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = Path(bmv.__file__).resolve().parents[1]
+    faults = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "values.csv")],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120).stdout
+    assert [int(count) < 2000 for count in faults.split()] == [True, True], faults
+
+
 def _repr_lines(table: np.ndarray) -> str:
     """The CSV lines of ``table`` as repr writes each value: the specification."""
     return "".join([",".join(map(repr, row)) + "\n" for row in table.tolist()])
@@ -628,7 +654,8 @@ def _repr_lines(table: np.ndarray) -> str:
 @example(table=[[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
 def test_csv_values_are_their_repr(table):
     table = np.array(table, dtype=np.float64)
-    assert bmv.cli._csv_lines(table) == _repr_lines(table)
+    lines = bmv.cli._csv_lines(table, bmv.cli._csv_buffers(*table.shape))
+    assert lines == _repr_lines(table).encode()
 
 
 def test_csv_values_are_their_repr_at_every_scale(tmp_path):
@@ -664,7 +691,8 @@ def test_a_row_holding_a_value_the_kernel_declines_is_written_by_repr(monkeypatc
         return repr(value)
 
     monkeypatch.setattr(bmv.cli, "repr", spy, raising=False)
-    assert bmv.cli._csv_lines(table) == _repr_lines(table)
+    lines = bmv.cli._csv_lines(table, bmv.cli._csv_buffers(*table.shape))
+    assert lines == _repr_lines(table).encode()
     assert written == [5e-324, 2.0, 1e300, -1e-300]
 
 
@@ -1767,3 +1795,23 @@ def test_only_run_imports_numpy_random(scenario_file, tmp_path):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == str([[], [], [], ["numpy.random", "tables"]])
+
+
+def test_cli_start_leaves_importlib_resources_out(scenario_file):
+    # bundled_scenario_path joins the package's own directory; under python -S
+    # no site hook imports importlib.resources first, and neither does bmv
+    paths = [str(Path(module.__file__).resolve().parents[1]) for module in (bmv, np)]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import bmv.cli\n"
+        "seen = ['importlib.resources' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert bmv.cli.main(['check', sys.argv[1]]) == 0\n"
+        "print(seen + ['importlib.resources' in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(scenario_file)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[False, False]"
