@@ -302,7 +302,11 @@ def _finite(value: float) -> float | None:
 # A value it cannot settle that way is declined, and repr writes its row:
 # one outside CSV_FAST_RANGE, or an interval end or a tie within CSV_SLACK
 # of an integer.  Zero, infinities and nan have texts of their own.
-CSV_BLOCK_VALUES = 2048  # a block's buffers are about 300 bytes a value
+#
+# A block's buffers take about 290 bytes a value, so the 4,096 values of a
+# block, about 1.2 MB, fit a 2 MiB per-core L2 cache, where the kernel's
+# hundred-odd passes over them find them.
+CSV_BLOCK_VALUES = 4096
 CSV_FAST_RANGE = (1e-240, 1e240)
 CSV_SLACK = 1e-7
 _EXPONENTS = range(math.frexp(CSV_FAST_RANGE[0])[1], math.frexp(CSV_FAST_RANGE[1])[1] + 1)
@@ -321,9 +325,13 @@ _WIDTH = 25  # "-1.2345678901234567e-240" and a separator
 
 
 class _CsvTables(NamedTuple):
-    scale: np.ndarray      # per binary exponent in _EXPONENTS: 10**p as hi + lo,
-                           # hi's two halves, and half the float spacing times 10**p
-    p: np.ndarray          # and p
+    scale: np.ndarray      # per biased binary exponent of |x|: 10**p as hi + lo,
+                           # hi's two halves, and half the float spacing times
+                           # 10**p; zero outside _EXPONENTS
+    keys: np.ndarray       # per 3 (sign and biased exponent) + s: the template
+                           # key of a value whose c 10**j has 16 + s digits,
+                           # less _FORMS j
+    exponents: np.ndarray  # and the four ASCII digits of its decimal exponent
     pow10: np.ndarray      # 10**j as int64, j = 0..18
     groups: np.ndarray     # the four ASCII digits of 0..9999, a uint32 each
     templates: np.ndarray  # the source byte of each text byte, per key, with
@@ -364,15 +372,25 @@ def _csv_tables() -> _CsvTables:
         half = hi * 134217729.0
         half -= half - hi
         powers.append((hi, (num * d - n * den) / (den * d), half, hi - half))
-    scale = np.array(powers).T[:, p - p.min()]
+    biased = e + 1022  # frexp's exponent is the biased one less 1022
+    scale = np.zeros((5, 2048))
+    scale[:4, biased] = np.array(powers).T[:, p - p.min()]
+    scale[4, biased] = np.ldexp(scale[0, biased], e - 54)
     g = np.arange(10000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    groups = digits.astype(np.uint8).view(np.uint32).ravel()
+    # q, the decimal exponent of c's first digit, is 16 + s - 1 - p, and the
+    # form follows from q alone (see _template)
+    s = np.arange(3)
+    q = np.zeros((2048, 3), dtype=np.int64)
+    q[biased] = 15 + s - p[:, None]
+    form = np.where(q > 15, 20, np.where(q < -4, 22, q + 4)) + (abs(q) >= 100)
+    keys = (17 * np.arange(2)[:, None, None] + 15 + s) * _FORMS + form
     byte = str.maketrans({c: k for k, c in enumerate(_SOURCE) if c != "_"})
     texts = [_template(key) for key in range(_KEYS)]
     templates = "".join((text + sep).ljust(_WIDTH, "\0") for sep in ",\n" for text in texts)
-    tables = _CsvTables(np.vstack([scale, np.ldexp(scale[0], e - 54)]), p,
-                        10 ** np.arange(19, dtype=np.int64),
-                        digits.astype(np.uint8).view(np.uint32).ravel(),
+    tables = _CsvTables(scale, keys.ravel(), np.tile(groups[abs(q)].ravel(), 2),
+                        10 ** np.arange(19, dtype=np.int64), groups,
                         np.frombuffer(templates.translate(byte).encode("latin-1"),
                                       np.uint8).reshape(-1, _WIDTH),
                         np.frombuffer(_SOURCE[24:].encode("latin-1"), np.uint32))
@@ -414,32 +432,35 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
     template reads to buf.source; return the rows holding a declined value.
     Every step writes into ``buf``: each row of w holds one array at a time,
     reused once the array is dead, and f is w read as floats.  Each np.take
-    into a buffer is mode="clip", since under the default numpy copies out."""
+    into a buffer is mode="clip", since under the default numpy copies out.
+    A where= mask costs several plain passes, so no step every block takes
+    uses one."""
     tab = _csv_tables()
     size = x.size
     w = buf.work[: _WIDTH * size].reshape(_WIDTH, size)
     f = w.view(np.float64)
     ok, b1, b2, b3 = buf.flags[:, :size]
     key, source = buf.key[:size], buf.source[:size]
-    a, e, t, ti = f[0], w[1], f[12], w[9]
-    np.abs(x, out=a)
-    np.greater_equal(a, CSV_FAST_RANGE[0], out=ok)
-    np.less_equal(a, CSV_FAST_RANGE[1], out=b1)
-    ok &= b1
-    np.logical_not(ok, out=b1)
-    np.copyto(a, 1.0, where=b1)
-    # a = m 2**e as frexp splits it, read from a's bits: e from the exponent
-    # field, and m == 0.5 (b2) where the significand's bits are all zero
-    np.right_shift(w[0], 52, out=e)
-    e -= 1022 + _EXPONENTS[0]
-    np.bitwise_and(w[0], 2**52 - 1, out=w[2])
+    # a = |x| held to CSV_FAST_RANGE, so a nan, infinite or out-of-range value
+    # is ok's only trace and the arithmetic below stays finite
+    a, t = f[1], f[12]
+    np.abs(x, out=f[0])
+    np.fmax(f[0], CSV_FAST_RANGE[0], out=a)
+    np.fmin(a, CSV_FAST_RANGE[1], out=a)
+    np.equal(a, f[0], out=ok)
+    # the sign and biased exponent of x, times three, index the key tables
+    e3 = w[3]
+    np.right_shift(x.view(np.uint64), 52, out=e3.view(np.uint64))
+    e3 *= 3
+    # a's biased exponent indexes its scale, and a is a power of two (b2)
+    # where the significand's bits are all zero
+    np.right_shift(w[1], 52, out=w[2])
+    hi, lo, hi_1, hi_2, above = f[4:9]
+    np.take(tab.scale, w[2], axis=1, out=f[4:9], mode="clip")
+    np.bitwise_and(w[1], 2**52 - 1, out=w[2])
     np.equal(w[2], 0, out=b2)
-    hi, lo, hi_1, hi_2, above = f[2:7]
-    np.take(tab.scale, e, axis=1, out=f[2:7], mode="clip")
-    p = w[7]
-    np.take(tab.p, e, out=p, mode="clip")
     # V = a 10**p = a (hi + lo) = d + f, with a hi exact in two parts (Dekker)
-    a_1, a_2, v, r = f[8], f[9], f[10], f[11]
+    a_1, a_2, v, r = f[9], f[10], f[11], f[13]
     np.multiply(a, 134217729.0, out=a_1)
     np.subtract(a_1, a, out=t)
     a_1 -= t
@@ -450,56 +471,67 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
     for lhs, rhs in ((a_1, hi_2), (a_2, hi_1), (a_2, hi_2), (a, lo)):
         np.multiply(lhs, rhs, out=t)
         r += t
-    whole, frac, d = f[0], f[1], w[2]
+    whole, frac, d = f[12], f[2], w[10]
     np.floor(r, out=whole)
     np.subtract(r, whole, out=frac)
-    np.copyto(d, v, casting="unsafe")
-    np.copyto(w[3], whole, casting="unsafe")
-    d += w[3]
+    np.copyto(w[14:16], f[11:13], casting="unsafe")
+    np.add(w[14], w[15], out=d)
     # the integers that read back as x: d + [ceil(f - below), floor(f + above)],
-    # where below is above but at a power of two, whose lower neighbour is nearer
-    low, high = f[3], f[4]
+    # where below is above but at a power of two, whose lower neighbour is
+    # nearer; both ends at once, as the rows of ends
+    ends = f[4:6]
+    low, high = ends
     np.add(frac, above, out=high)
-    np.divide(above, 2, out=above, where=b2)
+    if b2.any():
+        np.divide(above, 2, out=above, where=b2)
     np.subtract(frac, above, out=low)
-    for end in (low, high):
-        np.rint(end, out=t)
-        np.subtract(end, t, out=t)
-        np.abs(t, out=t)
-        np.greater_equal(t, CSV_SLACK, out=b1)
-        ok &= b1
-    lower, upper = w[5], w[8]
-    np.ceil(low, out=t)
-    np.copyto(lower, t, casting="unsafe")
-    lower += d
-    np.floor(high, out=t)
-    np.copyto(upper, t, casting="unsafe")
-    upper += d
+    gaps = f[6:8]
+    np.rint(ends, out=gaps)
+    np.subtract(ends, gaps, out=gaps)
+    np.abs(gaps, out=gaps)
+    np.greater_equal(gaps, CSV_SLACK, out=buf.flags[1:3, :size])
+    ok &= b1
+    ok &= b2
+    np.ceil(low, out=gaps[0])
+    np.floor(high, out=gaps[1])
+    bounds = w[11:13]
+    np.copyto(bounds, gaps, casting="unsafe")
+    bounds += d
+    lower, upper = bounds
     # j, the largest with a multiple of 10**j in [lower, upper]: most values
     # stop below 2, the rest (b2) are bisected over 2..17
-    j = w[6]
-    for k, flag in ((10, b1), (100, b2)):
-        np.floor_divide(upper, k, out=ti)
-        ti *= k
-        np.greater_equal(ti, lower, out=flag)
+    j, ti, k100 = w[9], w[13], w[14]
+    np.floor_divide(upper, 10, out=ti)
+    ti *= 10
+    np.greater_equal(ti, lower, out=b1)
+    np.floor_divide(upper, 100, out=k100)
+    np.multiply(k100, 100, out=ti)
+    np.greater_equal(ti, lower, out=b2)
     np.copyto(j, b1)
     rest = np.flatnonzero(b2)
     if rest.size:
-        low_rest, up_rest, known, mid, step, u = w[13:19, : rest.size]
+        # upper - lower < 45, so 100 k100 is the one multiple of 100 in the
+        # interval, and j - 2 counts the zeros that end k100: the largest i
+        # with k100 / 10**i whole.  k100 < 2**51 is exact as a float, and so
+        # is that test, since a quotient not whole is at least 10**-i from
+        # every integer, more than its rounding error
+        k, found, probe, quotient, whole = f[15:20, : rest.size]
         fits = b3[: rest.size]
-        np.take(lower, rest, out=low_rest, mode="clip")
-        np.take(upper, rest, out=up_rest, mode="clip")
-        known.fill(2)
+        np.take(k100, rest, out=w[20, : rest.size], mode="clip")
+        np.copyto(k, w[20, : rest.size])
+        found.fill(1.0)  # 10**i for the largest i known to divide k
         for half in (8, 4, 2, 1):
-            np.add(known, half, out=mid)
-            np.take(tab.pow10, mid, out=step, mode="clip")
-            np.floor_divide(up_rest, step, out=u)
-            u *= step
-            np.greater_equal(u, low_rest, out=fits)
-            np.copyto(known, mid, where=fits)
-        j[rest] = known
+            np.multiply(found, 10.0**half, out=probe)
+            np.divide(k, probe, out=quotient)
+            np.floor(quotient, out=whole)
+            np.equal(quotient, whole, out=fits)
+            np.copyto(found, probe, where=fits)
+        np.log10(found, out=found)
+        np.rint(found, out=found)
+        found += 2
+        j[rest] = found
     # c 10**j, the multiple nearest V; a tie is declined
-    step, c, below, gap, step_f = w[10], w[11], w[13], f[14], f[15]
+    step, c, below, gap, step_f, ti, t = w[13], w[14], w[15], f[16], f[17], w[18], f[19]
     np.take(tab.pow10, j, out=step, mode="clip")
     np.floor_divide(d, step, out=c)
     np.multiply(c, step, out=below)
@@ -514,44 +546,23 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
     np.less(t, gap, out=b3)
     b2 &= b3
     b1 |= b2
-    np.add(c, 1, out=c, where=b1)
-    np.multiply(gap, 2, out=t)
-    np.subtract(step_f, t, out=t)
+    c += b1
+    t -= gap
     np.abs(t, out=t)
     np.greater_equal(t, CSV_SLACK, out=b1)
     ok &= b1
-    # c's digit count less one, from c 10**j's 16 to 18 digits, and q, the
-    # decimal exponent of c's first digit
-    ndig, q, u = w[13], w[14], w[16]
+    # c 10**j has 16 + s digits, s = b1 + b2, and the key tables give the
+    # template key and the exponent's digits of each sign, exponent and s
     np.multiply(c, step, out=ti)
     np.greater_equal(ti, 10**16, out=b1)
     np.greater_equal(ti, 10**17, out=b2)
-    np.copyto(ndig, b1)
-    np.copyto(u, b2)
-    ndig += u
-    ndig += 15
-    ndig -= j
-    np.add(ndig, j, out=q)
-    q -= p
-    digits = w[19:]
-    exponent = digits[5]
-    np.abs(q, out=exponent)
-    # the key: (sign 17 + ndig - 1) _FORMS + form, where form is q + 4 in fixed
-    # notation (-5 < q < 16), else 20, or 22 for a negative exponent, and one
-    # more for a three-digit exponent
-    np.multiply(ndig, _FORMS, out=key)
-    np.signbit(x, out=b1)
-    np.add(key, 17 * _FORMS, out=key, where=b1)
-    form = ti
-    np.add(q, 4, out=form)
-    np.greater(q, 15, out=b1)
-    np.copyto(form, 20, where=b1)
-    np.less(q, -4, out=b1)
-    np.copyto(form, 22, where=b1)
-    np.greater_equal(exponent, 100, out=b1)
-    np.copyto(u, b1)
-    form += u
-    key += form
+    e3 += b1
+    e3 += b2
+    np.take(tab.keys, e3, out=key, mode="clip")
+    np.multiply(j, _FORMS, out=ti)
+    key -= ti
+    words = w[19:22].view(np.uint32).reshape(6, size)
+    np.take(tab.exponents, e3, out=words[5], mode="clip")
     declined = []
     if not ok.all():
         # zero, infinities and nan have texts of their own; the other values
@@ -561,7 +572,8 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
         np.copyto(own, b1)
         own += _FAST_KEYS
         np.isinf(x, out=b2)
-        np.add(own, 2, out=own, where=b2)
+        own += b2
+        own += b2
         np.isnan(x, out=b2)
         np.copyto(own, _FAST_KEYS + 4, where=b2)
         np.isfinite(x, out=b2)
@@ -573,17 +585,19 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
         b2 &= b1
         declined = np.flatnonzero(b2.reshape(-1, cols).any(axis=1)).tolist()
     key.reshape(-1, cols)[:, -1] += _KEYS
-    # c's digits four at a time, then the exponent's
-    q8, r8, q12 = w[0], w[1], w[2]
-    for num, k, quotient, remainder in ((c, 10**8, q8, r8), (q8, 10**4, q12, digits[2]),
-                                        (q12, 10**4, digits[0], digits[1]),
-                                        (r8, 10**4, digits[3], digits[4])):
+    # c's digits four at a time: c splits into its first nine digits and its
+    # last eight, both of which split in two at once (a row each), and the
+    # first five split once more
+    digits = w[3:8]
+    for num, k, quotient, remainder in ((c, 10**8, w[0], w[1]),
+                                        (w[0:2], 10**4, w[2:7:4], w[5:8:2]),
+                                        (w[2], 10**4, digits[0], digits[1])):
         np.floor_divide(num, k, out=quotient)
         np.multiply(quotient, k, out=remainder)
         np.subtract(num, remainder, out=remainder)
-    words = w[3:6].view(np.uint32).reshape(6, size)
-    np.take(tab.groups, digits, out=words, mode="clip")
-    np.copyto(source[:, :6], words.T)
+    np.take(tab.groups, digits, out=words[:5], mode="clip")
+    for k, word in enumerate(words):  # a column at a time: faster than words.T
+        np.copyto(source[:, k], word)
     return declined
 
 

@@ -679,6 +679,30 @@ def test_csv_values_are_their_repr_at_every_scale(tmp_path):
     assert lines == _repr_lines(table)
 
 
+@pytest.mark.parametrize("block", ["one value", "37 values", "one row short", "default"])
+def test_any_block_size_writes_the_same_bytes(tmp_path, monkeypatch, block):
+    # the kept rows of a table at decimate 3, whose final sample is off the
+    # stride, with values the kernel declines and values with texts of their
+    # own in the first and last rows of blocks: each block size writes repr's
+    # bytes.  "one row short" leaves the final sample a block of its own.
+    cols = 7
+    table = np.random.default_rng(28).standard_normal((200, cols)) * 10.0 ** np.arange(-3, 4)
+    kept = [*range(0, 199, 3), 199]
+    specials = [5e-324, 1e300, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    for r, row in enumerate(kept):
+        if r % 5 in (0, 4) or r >= len(kept) - 2:
+            table[row, r % cols] = specials[r % len(specials)]
+            table[row, (r + 3) % cols] = specials[(r + 2) % len(specials)]
+    values = {"one value": 1, "37 values": 37, "one row short": (len(kept) - 1) * cols,
+              "default": bmv.cli.CSV_BLOCK_VALUES}[block]
+    monkeypatch.setattr(bmv.cli, "CSV_BLOCK_VALUES", values)
+    path = tmp_path / "table.csv"
+    bmv.cli._write_csv(path, [f"c{k}" for k in range(cols)], [table], 3)
+    header, lines = path.read_text().split("\n", 1)
+    assert header == ",".join(f"c{k}" for k in range(cols))
+    assert lines == _repr_lines(table[kept])
+
+
 def test_a_row_holding_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
     # 5e-324 and 1e300 lie outside the kernel's range; their rows, and theirs
     # alone, go to repr, between rows the kernel writes, nan of either sign too
