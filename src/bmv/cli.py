@@ -299,29 +299,29 @@ def _finite(value: float) -> float | None:
 # V = |x| 10**p in [1e16, 2e17) as a double-double, so the decimals that read
 # back as x are the integers within half a float spacing of V, then takes the
 # largest j with a multiple of 10**j among them and the multiple nearest V.
-# A value it cannot settle that way is declined, and repr writes its row:
-# one outside CSV_FAST_RANGE, or an interval end or a tie within CSV_SLACK
-# of an integer.  Zero, infinities and nan have texts of their own.
+# Zero has texts of its own.  Any other value it cannot settle is declined,
+# and repr writes it in its own slot of the text: infinities, nan, one outside
+# CSV_FAST_RANGE, or an interval end or a tie within CSV_SLACK of an integer.
 #
-# A block's buffers take about 290 bytes a value, so the 4,096 values of a
+# A block's buffers take about 285 bytes a value, so the 4,096 values of a
 # block, about 1.2 MB, fit a 2 MiB per-core L2 cache, where the kernel's
 # hundred-odd passes over them find them.
 CSV_BLOCK_VALUES = 4096
 CSV_FAST_RANGE = (1e-240, 1e240)
 CSV_SLACK = 1e-7
 _EXPONENTS = range(math.frexp(CSV_FAST_RANGE[0])[1], math.frexp(CSV_FAST_RANGE[1])[1] + 1)
-# The 36 source bytes a value's text is gathered from, by what each holds:
+# The 32 source bytes a value's text is gathered from, by what each holds:
 # '0', the 17 digits of the significand right-aligned (A the first), the
 # decimal exponent's three digits X, Y, Z, then constants; '_' is unused.
-_SOURCE = "0__ABCDEFGHIJKLMNOPQ_XYZ-.e+infa,\n\0_"
+_SOURCE = "0__ABCDEFGHIJKLMNOPQ_XYZ-.e+,\n\0_"
 # A template per sign, digit count 1..17 and form: fixed notation with
-# -3..16 digits before the point, then e+XX, e+XXX, e-XX and e-XXX.  Then the
-# texts of their own, the last, empty, for a declined value.
+# -3..16 digits before the point, then e+XX, e+XXX, e-XX and e-XXX.  Then
+# zero's two texts.
 _FORMS = 24
 _FAST_KEYS = 2 * 17 * _FORMS
-_SPECIALS = ("0.0", "-0.0", "inf", "-inf", "nan", "")
+_SPECIALS = ("0.0", "-0.0")
 _KEYS = _FAST_KEYS + len(_SPECIALS)
-_WIDTH = 25  # "-1.2345678901234567e-240" and a separator
+_WIDTH = 25  # the longest repr, "-2.2250738585072014e-308", and a separator
 
 
 class _CsvTables(NamedTuple):
@@ -336,7 +336,7 @@ class _CsvTables(NamedTuple):
     groups: np.ndarray     # the four ASCII digits of 0..9999, a uint32 each
     templates: np.ndarray  # the source byte of each text byte, per key, with
                            # a comma, then per key with a line feed
-    constants: np.ndarray  # _SOURCE[24:] as three uint32 words
+    constants: np.ndarray  # _SOURCE[24:] as two uint32 words
 
 
 def _template(key: int) -> str:
@@ -405,11 +405,11 @@ class _CsvBuffers(NamedTuple):
 
     table: np.ndarray    # the block's values
     key: np.ndarray      # each value's template key
-    source: np.ndarray   # its 36 source bytes as nine uint32 words, the last
-                         # three _SOURCE[24:], written once
+    source: np.ndarray   # its 32 source bytes as eight uint32 words, the last
+                         # two _SOURCE[24:], written once
     work: np.ndarray     # the kernel's scratch, _WIDTH int64 a value, then
                          # the gather index
-    offsets: np.ndarray  # 36 k for value k, a column
+    offsets: np.ndarray  # 32 k for value k, a column
     flags: np.ndarray    # four booleans a value
     text: bytearray      # the block's text, _WIDTH bytes a value, NUL-padded
     chars: np.ndarray    # text as uint8, a row a value
@@ -418,18 +418,18 @@ class _CsvBuffers(NamedTuple):
 def _csv_buffers(rows: int, cols: int) -> _CsvBuffers:
     """The buffers for blocks of up to ``rows`` rows of ``cols`` values."""
     n = rows * cols
-    source = np.empty((n, 9), dtype=np.uint32)
+    source = np.empty((n, 8), dtype=np.uint32)
     source[:, 6:] = _csv_tables().constants
     text = bytearray(n * _WIDTH)
     return _CsvBuffers(np.empty((rows, cols)), np.empty(n, dtype=np.intp), source,
-                       np.empty(_WIDTH * n, dtype=np.intp), np.arange(0, 36 * n, 36)[:, None],
+                       np.empty(_WIDTH * n, dtype=np.intp), np.arange(0, 32 * n, 32)[:, None],
                        np.empty((4, n), dtype=bool), text,
                        np.frombuffer(text, dtype=np.uint8).reshape(n, _WIDTH))
 
 
 def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
-    """Write each value's template key to buf.key and the 36 source bytes its
-    template reads to buf.source; return the rows holding a declined value.
+    """Write each value's template key to buf.key and the 32 source bytes its
+    template reads to buf.source; return the indices of the declined values.
     Every step writes into ``buf``: each row of w holds one array at a time,
     reused once the array is dead, and f is w read as floats.  Each np.take
     into a buffer is mode="clip", since under the default numpy copies out.
@@ -565,25 +565,13 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
     np.take(tab.exponents, e3, out=words[5], mode="clip")
     declined = []
     if not ok.all():
-        # zero, infinities and nan have texts of their own; the other values
-        # the kernel declines (b2) are written by repr
-        own = ti
+        # zero has texts of its own; repr writes every other value declined
+        np.equal(x, 0, out=b2)
         np.signbit(x, out=b1)
-        np.copyto(own, b1)
-        own += _FAST_KEYS
-        np.isinf(x, out=b2)
-        own += b2
-        own += b2
-        np.isnan(x, out=b2)
-        np.copyto(own, _FAST_KEYS + 4, where=b2)
-        np.isfinite(x, out=b2)
-        np.not_equal(x, 0, out=b3)
-        b2 &= b3
-        np.copyto(own, _KEYS - 1, where=b2)
+        np.add(b1, _FAST_KEYS, out=key, where=b2)
+        ok |= b2
         np.logical_not(ok, out=b1)
-        np.copyto(key, own, where=b1)
-        b2 &= b1
-        declined = np.flatnonzero(b2.reshape(-1, cols).any(axis=1)).tolist()
+        declined = np.flatnonzero(b1).tolist()
     key.reshape(-1, cols)[:, -1] += _KEYS
     # c's digits four at a time: c splits into its first nine digits and its
     # last eight, both of which split in two at once (a row each), and the
@@ -603,9 +591,9 @@ def _csv_keys(x: np.ndarray, cols: int, buf: _CsvBuffers) -> list[int]:
 
 def _csv_lines(table: np.ndarray, buf: _CsvBuffers) -> bytearray:
     """The CSV lines of a C-ordered float64 ``table``, every value written as
-    repr writes it: by the numpy kernel above, in ``buf``, and a row holding a
-    value the kernel declines by repr."""
-    rows, cols = table.shape
+    repr writes it: by the numpy kernel above, in ``buf``, and a value the
+    kernel declines by repr itself, in its own NUL-padded slot of the text."""
+    cols = table.shape[1]
     size = table.size
     declined = _csv_keys(table.reshape(-1), cols, buf)
     chars = buf.chars[:size]
@@ -615,16 +603,10 @@ def _csv_lines(table: np.ndarray, buf: _CsvBuffers) -> bytearray:
     index += buf.offsets[:size]
     np.take(buf.source[:size].view(np.uint8).reshape(-1), index, out=chars, mode="clip")
     buf.chars[size:] = 0  # a file's last block may be shorter than the buffers
-    if not declined:
-        return buf.text.translate(None, b"\0")
-    width = cols * _WIDTH
-    parts, start = [], 0
-    for row in declined:
-        parts += [buf.text[start * width : row * width].translate(None, b"\0"),
-                  (",".join(map(repr, table[row].tolist())) + "\n").encode("ascii")]
-        start = row + 1
-    parts.append(buf.text[start * width : rows * width].translate(None, b"\0"))
-    return bytearray().join(parts)
+    texts = [(repr(value) + ("\n" if k % cols == cols - 1 else ",")).ljust(_WIDTH, "\0")
+             for k, value in zip(declined, table.take(declined).tolist())]
+    chars[declined] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, _WIDTH)
+    return buf.text.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: list[str], columns, decimate: int) -> None:

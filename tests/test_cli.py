@@ -703,11 +703,13 @@ def test_any_block_size_writes_the_same_bytes(tmp_path, monkeypatch, block):
     assert lines == _repr_lines(table[kept])
 
 
-def test_a_row_holding_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
-    # 5e-324 and 1e300 lie outside the kernel's range; their rows, and theirs
-    # alone, go to repr, between rows the kernel writes, nan of either sign too
-    table = np.array([[0.5, 1 / 3], [5e-324, 2.0], [0.1, 0.2], [1e300, -1e-300],
-                      [-math.nan, math.nan]])
+def test_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
+    # 5e-324, 1e300 and -1e-300 lie outside the kernel's range, and nan and
+    # the infinities have no template: each of them, and no neighbour, goes
+    # to repr, in the first column, the last and a row of them alone; zero
+    # keeps its templates
+    table = np.array([[0.5, 1 / 3, 0.25], [5e-324, 2.0, -0.0], [0.0, 0.2, 1e300],
+                      [-1e-300, -math.nan, math.inf], [0.1, math.nan, -math.inf]])
     written = []
 
     def spy(value):
@@ -717,7 +719,8 @@ def test_a_row_holding_a_value_the_kernel_declines_is_written_by_repr(monkeypatc
     monkeypatch.setattr(bmv.cli, "repr", spy, raising=False)
     lines = bmv.cli._csv_lines(table, bmv.cli._csv_buffers(*table.shape))
     assert lines == _repr_lines(table).encode()
-    assert written == [5e-324, 2.0, 1e300, -1e-300]
+    assert [repr(value) for value in written] == [
+        "5e-324", "1e+300", "-1e-300", "nan", "inf", "nan", "-inf"]
 
 
 @pytest.mark.parametrize("split", [4.0, 5.0])
