@@ -4,25 +4,26 @@ A scenario bundles the formation, the gains, and a piecewise-constant leader
 schedule.  Assembly front-loads every validation step: bearings are read off
 the reference formation, rigidity and localizability are checked, and the
 schedule is resolved segment by segment against the target formation it will
-steer.  A seeded initial state is drawn when a run first reads it.  The run
-itself is a classical fixed-step fourth-order Runge-Kutta loop that never
-steps across a segment boundary: each segment takes a number of steps of dt
-counted once from its span, the last one landing on its end.  Within a
-segment the closed loop is one linear system with constant input, stepped
-mode by mode along the eigenvectors of the follower block, a block of equal
-steps at a time (see controller.ClosedLoop); leader paths are integrated
-exactly and two runs of the same scenario agree bit for bit.  The loop is
-stable for any gains, but RK4 only below a step bound: a run refuses a longer
-dt before it integrates.  The tracking error is read at every step.  The kept
-samples of each block are turned back and measured as soon as the block is
-integrated, so a run stops at the first block whose kept samples are
-non-finite, too large to square or collocated.
+steer.  A seeded initial state (numpy's PCG64 stream, in plain integers) is
+drawn when a run first reads it.  The run itself is a classical fixed-step
+fourth-order Runge-Kutta loop that never steps across a segment boundary: each
+segment takes a number of steps of dt counted once from its span, the last one
+landing on its end.  Within a segment the closed loop is one linear system with
+constant input, stepped mode by mode along the eigenvectors of the follower
+block, a block of equal steps at a time (see controller.ClosedLoop); leader
+paths are integrated exactly and two runs of the same scenario agree bit for
+bit.  The loop is stable for any gains, but RK4 only below a step bound: a run
+refuses a longer dt before it integrates.  The tracking error is read at every
+step.  The kept samples of each block are turned back and measured as soon as
+the block is integrated, so a run stops at the first block whose kept samples
+are non-finite, too large to square or collocated.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -156,19 +157,62 @@ class SimContext:
     def initial_positions(self) -> np.ndarray:
         """The stacked start state: the scenario's initial configuration, or
         the first target with each follower moved by a seeded uniform draw of
-        up to PERTURBATION_FRACTION of its scale per axis.  Only a run reads
-        it, so only a run pays for the draw and for importing numpy.random."""
+        up to PERTURBATION_FRACTION of its scale per axis: the stream of
+        numpy's ``default_rng(seed).uniform``, drawn by ``_uniform`` without
+        numpy.random.  Only a run reads it, so only a run pays for the draw."""
         scenario = self.scenario
         if scenario.initial_config is not None:
             return scenario.initial_config.stacked.copy()
         graph, target = self.graph, self.segments[0].target_start
-        rng = np.random.default_rng(scenario.seed)
         amplitude = PERTURBATION_FRACTION * scale(target)
         points = target.points.copy()
-        points[graph.n_leaders :] += rng.uniform(
-            -amplitude, amplitude, size=(graph.n_followers, graph.d)
-        )
+        draws = _uniform(scenario.seed, -amplitude, amplitude, graph.n_followers * graph.d)
+        points[graph.n_leaders :] += np.reshape(draws, (graph.n_followers, graph.d))
         return points.reshape(-1)
+
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """numpy SeedSequence's hashmix, its hash constant starting at const."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _uniform(seed, low: float, high: float, size: int) -> list[float]:
+    """``np.random.default_rng(seed).uniform(low, high, size)``, bit for bit:
+    numpy's SeedSequence (a pool of 4 words) seeds PCG64, whose XSL-RR outputs
+    become doubles.  The seed is a non-negative integer, as numpy requires."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(max(4, len(entropy))):  # the pool's words, then the entropy past it
+        for dst in range(4):
+            if src != dst:
+                x = hashmix(pool[src] if src < 4 else entropy[src])
+                x = (0xCA01F9DD * pool[dst] - 0x4973F715 * x) & _MASK32
+                pool[dst] = x ^ x >> 16
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(pool[i % 4]) for i in range(8)]
+    w0, w1, w2, w3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    multiplier, increment = 0x2360ED051FC65DA44385DF649FCCF645, (w2 << 64 | w3) << 1 | 1
+    # from state 0: step, add the seeded state w0:w1, step again
+    state = ((increment + (w0 << 64 | w1)) * multiplier + increment) & _MASK128
+    draws = []
+    for _ in range(size):
+        state = (state * multiplier + increment) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + (high - low) * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 class Trajectory:

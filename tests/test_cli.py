@@ -1798,9 +1798,10 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
-def test_only_run_imports_numpy_random(scenario_file, tmp_path):
-    # check and spectrum never draw the seeded start, nor build the CSV
-    # formatter's tables; batch alone starts a pool
+def test_no_command_imports_numpy_random(scenario_file, tmp_path):
+    # run and batch draw the seeded start without numpy.random; check and
+    # spectrum never build the CSV formatter's tables, and only a batch with
+    # more than one worker starts a pool
     src = Path(bmv.__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
@@ -1815,13 +1816,14 @@ def test_only_run_imports_numpy_random(scenario_file, tmp_path):
         "print(seen)\n"
     )
     argv = [f"check {scenario_file}", f"spectrum {scenario_file}",
-            f"run {scenario_file} --out {tmp_path / 'out'} --decimate 100"]
+            f"run {scenario_file} --out {tmp_path / 'out'} --decimate 100",
+            f"batch {scenario_file} --out {tmp_path / 'batch'} --workers 1 --decimate 100"]
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == str([[], [], [], ["numpy.random", "tables"]])
+    assert out.strip() == str([[], [], [], ["tables"], ["tables"]])
 
 
 def test_cli_start_leaves_importlib_resources_out(scenario_file):

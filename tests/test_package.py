@@ -101,6 +101,24 @@ def test_no_module_calls_a_leaf_or_imports_a_private_name():
     assert found == []
 
 
+def test_no_module_names_numpy_random():
+    # importing numpy.random costs a run about 13 ms; sim._uniform draws its stream
+    found = []
+    for path in sorted(Path(bmv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} names {name}" for name in names
+                      if name in ("np.random", "numpy.random") or name.startswith("numpy.random.")]
+    assert found == []
+
+
 def test_benchmark_probe_runs_on_the_2d_bundle(tmp_path):
     # The probe also calls run(ctx), build_summary(ctx, traj),
     # write_trajectory_csv(path, traj, labels, decimate) with a positional

@@ -30,7 +30,7 @@ from bmv import (
     step,
     target_follower_positions,
 )
-from bmv.sim import COORDINATE_LIMIT
+from bmv.sim import COORDINATE_LIMIT, _uniform
 from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
@@ -163,6 +163,52 @@ def test_seed_changes_default_start():
     a = assemble(_square_scenario(seed=1)).initial_positions
     b = assemble(_square_scenario(seed=2)).initial_positions
     assert not np.array_equal(a, b)
+
+
+def _assert_draws_match_numpy(seed, amplitude, size):
+    expected = np.random.default_rng(seed).uniform(-amplitude, amplitude, size)
+    drawn = np.array(_uniform(seed, -amplitude, amplitude, size))
+    np.testing.assert_array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+
+# 2**200 + 17 has seven 32-bit words, more than the seed pool's four, so it
+# takes SeedSequence's third mixing loop; 381 is wide's followers times d.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 17])
+@pytest.mark.parametrize("size", [1, 2, 381, 1533])
+def test_seeded_draws_are_numpys_uniform_stream(seed, size):
+    _assert_draws_match_numpy(seed, 0.37, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**256 - 1),
+       amplitude=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+       size=st.integers(1, 40))
+def test_seeded_draws_match_numpy_on_any_seed(seed, amplitude, size):
+    _assert_draws_match_numpy(seed, amplitude, size)
+
+
+def test_default_start_is_the_numpy_formula():
+    ctx = assemble(_square_scenario(seed=2**64 + 5))
+    target = ctx.segments[0].target_start
+    amplitude = 0.1 * scale(target)
+    points = target.points.copy()
+    points[2:] += np.random.default_rng(2**64 + 5).uniform(-amplitude, amplitude, size=(2, 2))
+    np.testing.assert_array_equal(ctx.initial_positions, points.reshape(-1))
+    np.testing.assert_array_equal(
+        assemble(_square_scenario(seed=np.int64(7))).initial_positions,
+        assemble(_square_scenario(seed=7)).initial_positions)
+
+
+@pytest.mark.parametrize("seed, error, match", [
+    (-1, ValueError, "expected non-negative integer"),
+    (-(2**70), ValueError, "expected non-negative integer"),
+    (1.5, TypeError, "integer"),
+    (None, TypeError, "integer"),  # numpy drew OS entropy for None
+])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed, error, match):
+    ctx = assemble(_square_scenario(seed=seed))
+    with pytest.raises(error, match=match):
+        ctx.initial_positions
 
 
 # ---------------------------------------------------------------------------
