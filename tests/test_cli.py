@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import bmv
 import bmv.cli
+import bmv.csvtext
 from bmv import (BearingSpec, HurwitzReport, ParseError, assemble, bearing_laplacian,
                  closed_loop_spectrum, rigidity_report, run)
 from bmv.cli import (
@@ -599,11 +600,11 @@ def test_writing_a_wide_table_holds_one_block_of_values(tmp_path):
         "import sys, tracemalloc\n"
         "from pathlib import Path\n"
         "import numpy as np\n"
-        "from bmv.cli import _write_csv\n"
+        "from bmv.csvtext import write_csv\n"
         "table = np.random.default_rng(0).standard_normal((500, 389))\n"
         "header = [f'c{k}' for k in range(389)]\n"
         "tracemalloc.start()\n"
-        "_write_csv(Path(sys.argv[1]), header, [table], 1)\n"
+        "write_csv(Path(sys.argv[1]), header, [table], 1)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     src = Path(bmv.__file__).resolve().parents[1]
@@ -626,14 +627,14 @@ def test_writing_a_table_reuses_its_block_buffers(tmp_path):
         "import resource, sys\n"
         "from pathlib import Path\n"
         "import numpy as np\n"
-        "from bmv.cli import _write_csv\n"
+        "from bmv.csvtext import write_csv\n"
         "values = np.random.default_rng(0).standard_normal(400_000)\n"
         "out = Path(sys.argv[1])\n"
-        "_write_csv(out, [f'c{k}' for k in range(18)], [values[:180].reshape(10, 18)], 1)\n"
+        "write_csv(out, [f'c{k}' for k in range(18)], [values[:180].reshape(10, 18)], 1)\n"
         "for cols in (18, 389):\n"
         "    table = values[: values.size // cols * cols].reshape(-1, cols)\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    _write_csv(out, [f'c{k}' for k in range(cols)], [table], 1)\n"
+        "    write_csv(out, [f'c{k}' for k in range(cols)], [table], 1)\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
     src = Path(bmv.__file__).resolve().parents[1]
@@ -654,7 +655,7 @@ def _repr_lines(table: np.ndarray) -> str:
 @example(table=[[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
 def test_csv_values_are_their_repr(table):
     table = np.array(table, dtype=np.float64)
-    lines = bmv.cli._csv_lines(table, bmv.cli._csv_buffers(*table.shape))
+    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
     assert lines == _repr_lines(table).encode()
 
 
@@ -673,7 +674,7 @@ def test_csv_values_are_their_repr_at_every_scale(tmp_path):
     values = np.concatenate([values, -values, np.sort(bits.view(np.float64))])
     table = values[: values.size // 8 * 8].reshape(-1, 8)
     path = tmp_path / "values.csv"
-    bmv.cli._write_csv(path, [f"c{k}" for k in range(8)], [table], 1)
+    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(8)], [table], 1)
     header, lines = path.read_text().split("\n", 1)
     assert header == "c0,c1,c2,c3,c4,c5,c6,c7"
     assert lines == _repr_lines(table)
@@ -694,20 +695,20 @@ def test_any_block_size_writes_the_same_bytes(tmp_path, monkeypatch, block):
             table[row, r % cols] = specials[r % len(specials)]
             table[row, (r + 3) % cols] = specials[(r + 2) % len(specials)]
     values = {"one value": 1, "37 values": 37, "one row short": (len(kept) - 1) * cols,
-              "default": bmv.cli.CSV_BLOCK_VALUES}[block]
-    monkeypatch.setattr(bmv.cli, "CSV_BLOCK_VALUES", values)
+              "default": bmv.csvtext.CSV_BLOCK_VALUES}[block]
+    monkeypatch.setattr(bmv.csvtext, "CSV_BLOCK_VALUES", values)
     path = tmp_path / "table.csv"
-    bmv.cli._write_csv(path, [f"c{k}" for k in range(cols)], [table], 3)
+    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(cols)], [table], 3)
     header, lines = path.read_text().split("\n", 1)
     assert header == ",".join(f"c{k}" for k in range(cols))
     assert lines == _repr_lines(table[kept])
 
 
 def test_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
-    # 5e-324, 1e300 and -1e-300 lie outside the kernel's range, and nan and
-    # the infinities have no template: each of them, and no neighbour, goes
-    # to repr, in the first column, the last and a row of them alone; zero
-    # keeps its templates
+    # 5e-324, 1e300 and -1e-300 lie outside the kernel's range, and the
+    # infinities have no template: each of them, and no neighbour, goes to
+    # repr, in the first column, the last and a row of them alone; zero and
+    # nan, of either sign, keep their templates
     table = np.array([[0.5, 1 / 3, 0.25], [5e-324, 2.0, -0.0], [0.0, 0.2, 1e300],
                       [-1e-300, -math.nan, math.inf], [0.1, math.nan, -math.inf]])
     written = []
@@ -716,11 +717,11 @@ def test_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
         written.append(value)
         return repr(value)
 
-    monkeypatch.setattr(bmv.cli, "repr", spy, raising=False)
-    lines = bmv.cli._csv_lines(table, bmv.cli._csv_buffers(*table.shape))
+    monkeypatch.setattr(bmv.csvtext, "repr", spy, raising=False)
+    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
     assert lines == _repr_lines(table).encode()
     assert [repr(value) for value in written] == [
-        "5e-324", "1e+300", "-1e-300", "nan", "inf", "nan", "-inf"]
+        "5e-324", "1e+300", "-1e-300", "inf", "-inf"]
 
 
 @pytest.mark.parametrize("split", [4.0, 5.0])
@@ -1807,7 +1808,7 @@ def test_no_command_imports_numpy_random(scenario_file, tmp_path):
         "import contextlib, io, sys\n"
         "import bmv.cli\n"
         "lean = lambda: [m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules]"
-        " + ['tables'] * bmv.cli._csv_tables.cache_info().currsize\n"
+        " + ['tables'] * bmv.csvtext._csv_tables.cache_info().currsize\n"
         "seen = [lean()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in sys.argv[1:]:\n"
