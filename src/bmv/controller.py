@@ -147,8 +147,9 @@ class ClosedLoop:
         return self._powers(self.dt, BLOCK_STEPS)
 
     def tracking_error(self, block: np.ndarray) -> np.ndarray:
-        """||p_f - T_fl p_l|| of rows [p_l, q, eta]: T_fl = -U diag(1/mu) W, and U
-        keeps norms, so it is ||q + W p_l / mu||.  NaN where L_ff is singular."""
+        """||p_f - T_fl p_l|| of rows [p_l, q, eta], T_fl = -U diag(1/mu) W: the
+        modal steps' own fixed point, not follower_map's solve.  U keeps norms,
+        so it is ||q + W p_l / mu||.  NaN where L_ff is singular."""
         if not self.lap.localizability.localizable:
             return np.full(len(block), np.nan)
         mu, _, W = self.lap.modes

@@ -29,7 +29,6 @@ SOLVE_RESIDUAL_TOL = 1e-9
 class LocalizabilityResult(NamedTuple):
     localizable: bool
     min_eigenvalue: float
-    eigenvalues: np.ndarray  # of L_ff, ascending
 
 
 class BearingLaplacian:
@@ -66,8 +65,8 @@ class BearingLaplacian:
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu, U, W), read-only: L_ff = U diag(mu) U^T, mu ascending, W = U^T L_fl.
         The one eigensolve of L_ff of a run, which steps the loop along U;
-        computed first, it is also what mu and follower_map then read.  A
-        command that reads no U never computes it."""
+        computed first, it is also what mu then reads.  A command that reads
+        no U never computes it."""
         mu, U = np.linalg.eigh(self.L_ff)
         modes = (mu, U, U.T @ self.L_fl)
         for array in modes:
@@ -91,19 +90,17 @@ class BearingLaplacian:
         With no followers the block is empty and the formation is vacuously
         localizable; the minimum eigenvalue is reported as +inf.
         """
-        eigs = self.mu
         if self.n_followers == 0:
-            return LocalizabilityResult(True, math.inf, eigs)
-        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-        return LocalizabilityResult(lam_min > TAU_PD * max(lam_max, 0.0), lam_min, eigs)
+            return LocalizabilityResult(True, math.inf)
+        lam_min, lam_max = float(self.mu[0]), float(self.mu[-1])
+        return LocalizabilityResult(lam_min > TAU_PD * max(lam_max, 0.0), lam_min)
 
     @cached_property
     def follower_map(self) -> np.ndarray:
         """T_fl = -L_ff^-1 L_fl: stacked leader to follower targets.
 
-        From the modes when they are already computed, as -U diag(1/mu) W
-        with one refinement step, which wins back the accuracy 1/mu costs the
-        eigenvectors; otherwise from one solve, which forms no U.  Raises
+        One solve of L_ff in every command, whether or not the modes were
+        computed, so every command resolves the same targets.  Raises
         NotLocalizable on a singular follower block and ArithmeticError
         unless the Frobenius norm of L_ff T_fl + L_fl, which bounds every
         target's residual per unit ||p_l||, is below SOLVE_RESIDUAL_TOL.
@@ -113,13 +110,7 @@ class BearingLaplacian:
             raise NotLocalizable(
                 f"follower block is singular (min eigenvalue {loc.min_eigenvalue:.3e})"
             )
-        if "modes" in self.__dict__:
-            mu, U, W = self.modes
-            inverse = U / mu  # L_ff^-1 = inverse @ U^T
-            T = -inverse @ W
-            T -= inverse @ (U.T @ (self.L_ff @ T + self.L_fl))
-        else:
-            T = np.linalg.solve(self.L_ff, -self.L_fl)
+        T = np.linalg.solve(self.L_ff, -self.L_fl)
         residual = np.linalg.norm(self.L_ff @ T + self.L_fl)
         if residual >= SOLVE_RESIDUAL_TOL:
             raise ArithmeticError(f"follower solve residual {residual:.3e} exceeds tolerance")

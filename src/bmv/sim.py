@@ -275,11 +275,11 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
     structural requirements, and ScheduleGap when the schedule does not tile
     [0, duration].  ``force`` downgrades the first two to warnings for
     deliberately broken experiments.  With ``integrate`` it computes the
-    rigidity report and the modes first, so that mu, the follower map and
-    the loop read that one eigh.  Without it the verdicts take the cheapest
-    exact route, for a caller that only reads the spectrum: rigidity_rank,
-    then mu from one eigvalsh and the follower targets from one solve; the
-    report and the modes are made if and when they are first read.
+    rigidity report and the modes first, so that mu and the loop read that
+    one eigh.  Without it, for a caller that only reads the spectrum,
+    rigidity_rank and one eigvalsh for mu; the report and the modes are made
+    if and when first read.  Both contexts resolve the same segments bit for
+    bit: the follower targets come from one solve either way.
     """
     graph = scenario.graph
     ref = scenario.reference_config
@@ -287,7 +287,7 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
     if integrate:
         rigidity = rigidity_report(graph, ref)
         rank = rigidity.rank
-        lap.modes  # the eigh that mu, the follower map and the loop then read
+        lap.modes  # the eigh that mu and the loop then read
     else:
         rigidity, rank = None, rigidity_rank(graph, ref)
     required = required_rank(graph)

@@ -837,13 +837,15 @@ def test_unreadable_scenario_is_an_input_error(scenario_file, tmp_path, capsys, 
 
 
 def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
-    # In a run, localizability, the follower map, the spectrum and the loop's
-    # modes all come from one symmetric eigensolve of the follower block per
-    # scenario, and the rigidity report from one of the rigidity Gram matrix.
-    # check and spectrum read neither eigenvectors nor singular values: one
-    # Cholesky proves the rank and one eigvalsh of the follower block gives
-    # mu; spectrum also solves the follower block for the targets.  A
-    # formation the Cholesky cannot prove adds the Gram matrix's eigvalsh.
+    # In a run, localizability, the spectrum and the loop's modes all come
+    # from one symmetric eigensolve of the follower block per scenario, and
+    # the rigidity report from one of the rigidity Gram matrix.  check and
+    # spectrum read neither eigenvectors nor singular values: one Cholesky
+    # proves the rank and one eigvalsh of the follower block gives mu.  The
+    # follower targets come from one solve of the follower block in every
+    # command that resolves the schedule, so spectrum, run and batch solve
+    # it once per scenario.  A formation the Cholesky cannot prove adds the
+    # Gram matrix's eigvalsh.
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"numpy.linalg.{name} called")
@@ -876,11 +878,11 @@ def test_no_general_eigensolve_in_the_commands(tmp_path, monkeypatch):
     out = tmp_path / "out"
     for argv, expected in (
         (["check", path], ["cholesky", "eigvalsh"]),
-        (["run", path, "--out", str(out), "--decimate", "100"], ["eigh", "eigvalsh"]),
+        (["run", path, "--out", str(out), "--decimate", "100"], ["eigh", "eigvalsh", "solve"]),
         (["spectrum", path], ["cholesky", "eigvalsh", "solve"]),
         (["spectrum", str(declined)], ["cholesky", "eigvalsh", "eigvalsh", "solve"]),
         (["batch", path, other, "--out", str(tmp_path / "batch"), "--decimate", "100"],
-         ["eigh"] * 2 + ["eigvalsh"] * 2),
+         ["eigh"] * 2 + ["eigvalsh"] * 2 + ["solve"] * 2),
     ):
         calls.clear()
         assert main(argv) == EXIT_OK
@@ -1215,16 +1217,20 @@ def test_run_refuses_a_step_past_the_rk4_stability_limit(tmp_path, capsys, dt):
     assert summary["final"]["tracking_error"] < 1e-6
 
 
+@pytest.mark.parametrize("command", ["spectrum", "run"])
 @pytest.mark.parametrize("key, value", [("vc", [1e300, 0.0]), ("scale_rate", 1e300)])
-def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, capsys, key, value):
-    # the leaders would pass 1e150 and their bearings would overflow
+def test_run_refuses_a_schedule_past_the_coordinate_limit(tmp_path, capsys, key, value,
+                                                          command):
+    # the leaders would pass 1e150 and their bearings would overflow; spectrum
+    # checks the schedule on the targets run steps from, and refuses it alike
     doc = json.loads(bundled_scenario_path("narrow_passage_2d").read_text())
     doc["schedule"][0][key] = value
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        f"error: schedule[0] would carry the leaders beyond {COORDINATE_LIMIT:g}\n"
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_VALIDATION
+    assert tuple(capsys.readouterr()) == (
+        "", f"error: schedule[0] would carry the leaders beyond {COORDINATE_LIMIT:g}\n"
     )
     assert not (tmp_path / "o").exists()
 

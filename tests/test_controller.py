@@ -288,7 +288,7 @@ def test_eigenvalues_sorted_by_real_then_imag():
 def _matches_reference(lap, gains: Gains):
     """The spectrum from the Laplacian's own L_ff eigenvalues, checked against
     verify_hurwitz on the full loop matrix; returns both reports."""
-    report = closed_loop_spectrum(lap.localizability.eigenvalues, gains)
+    report = closed_loop_spectrum(lap.mu, gains)
     ref = verify_hurwitz(effective_closed_loop_matrix(lap.L_ff, gains))
     assert report.eigenvalues.size == ref.eigenvalues.size
     assert report.is_hurwitz == ref.is_hurwitz
@@ -326,7 +326,7 @@ def test_closed_loop_spectrum_matches_reference(seed, n, d, leaders, k_p, k_i):
     lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
     loc = lap.localizability
     assume(loc.localizable and loc.min_eigenvalue > 1e-3)
-    mu = loc.eigenvalues
+    mu = lap.mu
     # A near-double root is ill-conditioned in the general eigensolve, which
     # splits it by up to sqrt(eps); the exact double root is tested below.
     b = 0.5 * k_p * mu
@@ -353,7 +353,7 @@ def test_closed_loop_spectrum_of_a_singular_follower_block(k_i):
     lap = bearing_laplacian(
         graph, BearingSpec.from_configuration(graph, Configuration(np.array([[0.0, 0.0], [1.0, 0.0]])))
     )
-    assert list(lap.localizability.eigenvalues) == [0.0, 1.0]
+    assert list(lap.mu) == [0.0, 1.0]
     report, ref = _matches_reference(lap, Gains(k_p=4.0, k_i=k_i))
     assert not np.any(np.isnan(report.eigenvalues))
     assert report.max_real_part == ref.max_real_part == 0.0
@@ -379,9 +379,10 @@ def test_step_amplification_is_the_spectral_radius_of_the_mode_steps(
     # With k_i = 0, eta only integrates and q alone carries the mode -k_p mu.
     rng = np.random.default_rng(seed)
     graph, ref = random_formation(rng, n, d, n_leaders=min(leaders, n - 1), edge_prob=0.8)
-    loc = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref)).localizability
+    lap = bearing_laplacian(graph, BearingSpec.from_configuration(graph, ref))
+    loc = lap.localizability
     assume(loc.localizable and loc.min_eigenvalue > 1e-3)
-    mu = loc.eigenvalues
+    mu = lap.mu
     # as above: the reference eigensolve splits a near-double root by sqrt(eps)
     b = 0.5 * k_p * mu
     assume(k_i == 0.0 or np.all(np.abs(b * b - k_i * mu) > 1e-6 * b * b))
