@@ -13,11 +13,14 @@ Set BMV_LOG=DEBUG (or INFO, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
 import os
+import pickle
 import sys
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -490,6 +493,60 @@ def _batch_one(task) -> tuple[str, int, str]:
     return str(path), code, result
 
 
+def _forked_map(func, tasks: list, workers: int) -> list:
+    """``[func(task) for task in tasks]`` by this process and ``workers - 1`` forked
+    children, each taking the next task number from one pipe.  A child sends its
+    (number, result) pairs, or the exception that stopped it, back through a pipe
+    of its own and ends; its exception is raised here once every child has ended."""
+    def work() -> list:
+        taken = iter(lambda: os.read(read, 4), b"")
+        return [(k, func(tasks[k])) for k in (int.from_bytes(b, "little") for b in taken)]
+
+    def feed() -> None:  # 512 bytes a write, which no pipe splits
+        numbers = b"".join(k.to_bytes(4, "little") for k in range(len(tasks)))
+        with contextlib.suppress(OSError), open(write, "wb", buffering=0) as pipe:
+            for k in range(0, len(numbers), 512):
+                pipe.write(numbers[k : k + 512])
+
+    read, write = os.pipe()
+    owned, children = [read, write], {}  # children: pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            back, report = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(write)  # the queue ends when the feeding thread closes it
+                    os.close(back)
+                    try:
+                        payload = work()
+                    except BaseException as exc:  # raised again in the parent
+                        payload = exc
+                    with open(report, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(report)
+            children[pid] = back
+        # Started after forking, so no child copies a running thread; every
+        # process takes numbers while it writes, so any batch passes the pipe.
+        threading.Thread(target=feed, daemon=True).start()
+        owned.remove(write)
+        results = dict(work())
+        reports = [open(back, "rb", closefd=False).read() for back in children.values()]
+    finally:
+        for fd in owned + list(children.values()):
+            os.close(fd)
+        failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise RuntimeError(f"batch worker {failed[0]} ended without reporting its results")
+    for payload in map(pickle.loads, reports):
+        if isinstance(payload, BaseException):
+            raise payload
+        results.update(payload)
+    return [results[k] for k in range(len(tasks))]
+
+
 def cmd_batch(args) -> int:
     out_root = Path(args.out)
     tasks = []
@@ -504,12 +561,7 @@ def cmd_batch(args) -> int:
         tasks.append((raw, str(out_root / name), args))
     workers = min(args.workers, len(tasks))
     if workers > 1:
-        import concurrent.futures  # only here: every other command starts without it
-
-        # The pool forks all its workers at the first submit, so never ask
-        # for more than there are tasks.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_one, tasks))
+        results = _forked_map(_batch_one, tasks, workers)
     else:
         results = [_batch_one(task) for task in tasks]
     worst = EXIT_OK
@@ -574,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_batch = sub.add_parser("batch", help="run several scenarios, one worker each")
+    p_batch = sub.add_parser("batch", help="run several scenarios in up to --workers processes")
     p_batch.add_argument("scenarios", nargs="+", help="scenario JSON files")
     p_batch.add_argument("--out", default="bmv_batch_out", help="output root directory")
     p_batch.add_argument("--workers", type=_integer(1), default=1, help="parallel workers")

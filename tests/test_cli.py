@@ -1,6 +1,5 @@
 """Scenario parsing, result bundles, and the command-line surface."""
 
-import concurrent.futures
 import contextlib
 import csv
 import io
@@ -1078,23 +1077,20 @@ def test_batch_keeps_finished_results_when_an_output_fails(scenario_file, tmp_pa
     assert (out_root / "square" / "summary.json").exists()
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_batch_forks_no_more_workers_than_scenarios(scenario_file, tmp_path, monkeypatch):
-    asked = []
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     other = tmp_path / "square2.json"
     other.write_text(json.dumps(small_doc(seed=9)))
     out_root = tmp_path / "batch"
@@ -1103,11 +1099,114 @@ def test_batch_forks_no_more_workers_than_scenarios(scenario_file, tmp_path, mon
         "--workers", "64", "--decimate", "50",
     ])
     assert code == EXIT_OK
-    assert asked == [2]
-    # one scenario runs in process, without a pool
+    assert forks == [os.getpid()]
+    # one scenario runs in this process, without forking
     assert main(["batch", str(scenario_file), "--out", str(out_root),
                  "--workers", "64", "--decimate", "50"]) == EXIT_OK
-    assert asked == [2]
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failing", [0, 1])
+def test_batch_raises_an_unmapped_error_as_at_one_worker(workers, failing, tmp_path,
+                                                          monkeypatch, capsys):
+    names = [str(tmp_path / f"s{k}.json") for k in range(2)]
+
+    def stub(task):
+        if task[0] == names[failing]:
+            raise LookupError(f"stub refused {task[0]}")
+        return task[0], EXIT_OK, "stub"
+
+    monkeypatch.setattr(bmv.cli, "_batch_one", stub)
+    with pytest.raises(LookupError) as info:
+        main(["batch", *names, "--workers", workers, "--out", str(tmp_path / "b")])
+    assert type(info.value) is LookupError
+    assert str(info.value) == f"stub refused {names[failing]}"
+    assert capsys.readouterr().out == ""
+    _assert_no_child_left()
+
+
+def test_batch_raises_the_error_a_child_reports(tmp_path, monkeypatch):
+    # this process holds its task until a child has raised on the other one
+    parent, raised = os.getpid(), tmp_path / "raised"
+
+    def stub(task):
+        if os.getpid() != parent:
+            raised.touch()
+            raise LookupError("stub refused in a child")
+        deadline = time.monotonic() + 60
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return task[0], EXIT_OK, "stub"
+
+    monkeypatch.setattr(bmv.cli, "_batch_one", stub)
+    with pytest.raises(LookupError, match="^stub refused in a child$"):
+        main(["batch", "a.json", "b.json", "--workers", "2", "--out", str(tmp_path / "b")])
+    assert raised.exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork, count, workers, expected", [
+    ("dies", 2, 2, "RuntimeError"),
+    # more task numbers than a pipe holds, which this process takes alone
+    ("dies", 20_000, 2, "RuntimeError"),
+    # the second fork is refused: an input error, and the first child ends
+    ("fails", 3, 3, "exit 2"),
+])
+def test_batch_ends_when_a_child_dies_or_a_fork_fails(fork, count, workers, expected, tmp_path):
+    src = Path(bmv.__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, errno, io, os, sys\n"
+        "import bmv.cli\n"
+        "real_fork, forks = os.fork, []\n"
+        "def fork():\n"
+        "    forks.append(os.getpid())\n"
+        "    if sys.argv[1] == 'fails' and len(forks) == 2:\n"
+        "        raise OSError(errno.EAGAIN, 'fork refused')\n"
+        "    pid = real_fork()\n"
+        "    if pid == 0 and sys.argv[1] == 'dies':\n"
+        "        os._exit(3)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "bmv.cli._batch_one = lambda task: (task[0], 0, 'stub')\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "         contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = bmv.cli.main(sys.argv[2:])\n"
+        "    print('exit', code)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    argv = [fork, "batch", *(f"s{k}.json" for k in range(count)), "--workers", str(workers),
+            "--out", str(tmp_path / "batch")]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert len(out) == 2, out
+    if expected == "RuntimeError":
+        assert out[0].startswith("RuntimeError batch worker ")
+        assert out[0].endswith(" ended without reporting its results")
+    else:
+        assert out[0] == expected
+    assert out[1] == "no child left"
+
+
+def test_batch_passes_more_tasks_and_results_than_a_pipe_holds(tmp_path, monkeypatch, capsys):
+    # 20,000 task numbers are 80,000 bytes, and the results are larger still;
+    # a pipe holds 65,536 bytes
+    names = [f"s{k:05d}.json" for k in range(20_000)]
+    monkeypatch.setattr(bmv.cli, "_batch_one", lambda task: (task[0], EXIT_OK, "stub"))
+    code = main(["batch", *names, "--workers", "2", "--out", str(tmp_path / "b")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [f"ok     {name}: stub" for name in names]
+    _assert_no_child_left()
 
 
 def test_run_refuses_unbounded_step_count(scenario_file, tmp_path, capsys):
@@ -1807,13 +1906,16 @@ def test_cli_import_leaves_scipy_out():
 
 def test_no_command_imports_numpy_random(scenario_file, tmp_path):
     # run and batch draw the seeded start without numpy.random; check and
-    # spectrum never build the CSV formatter's tables, and only a batch with
-    # more than one worker starts a pool
+    # spectrum never build the CSV formatter's tables, and a batch with more
+    # than one worker forks its workers without a process pool
+    other = tmp_path / "square2.json"
+    other.write_text(json.dumps(small_doc(seed=9)))
     src = Path(bmv.__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
         "import bmv.cli\n"
-        "lean = lambda: [m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules]"
+        "lean = lambda: [m for m in ('concurrent.futures', 'multiprocessing', 'numpy.random')"
+        " if m in sys.modules]"
         " + ['tables'] * bmv.csvtext._csv_tables.cache_info().currsize\n"
         "seen = [lean()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1824,13 +1926,14 @@ def test_no_command_imports_numpy_random(scenario_file, tmp_path):
     )
     argv = [f"check {scenario_file}", f"spectrum {scenario_file}",
             f"run {scenario_file} --out {tmp_path / 'out'} --decimate 100",
-            f"batch {scenario_file} --out {tmp_path / 'batch'} --workers 1 --decimate 100"]
+            f"batch {scenario_file} --out {tmp_path / 'batch'} --workers 1 --decimate 100",
+            f"batch {scenario_file} {other} --out {tmp_path / 'pair'} --workers 2 --decimate 100"]
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == str([[], [], [], ["tables"], ["tables"]])
+    assert out.strip() == str([[], [], [], ["tables"], ["tables"], ["tables"]])
 
 
 def test_cli_start_leaves_importlib_resources_out(scenario_file):
