@@ -503,11 +503,11 @@ def _forked_map(func, tasks: list, workers: int) -> list:
         return [(k, func(tasks[k])) for k in (int.from_bytes(b, "little") for b in taken)]
 
     def feed() -> None:  # 512 bytes a write, which no pipe splits
-        numbers = b"".join(k.to_bytes(4, "little") for k in range(len(tasks)))
         with contextlib.suppress(OSError), open(write, "wb", buffering=0) as pipe:
-            for k in range(0, len(numbers), 512):
+            for k in range(512, len(numbers), 512):
                 pipe.write(numbers[k : k + 512])
 
+    numbers = b"".join(k.to_bytes(4, "little") for k in range(len(tasks)))
     read, write = os.pipe()
     owned, children = [read, write], {}  # children: pid -> the read end of its result pipe
     try:
@@ -515,7 +515,7 @@ def _forked_map(func, tasks: list, workers: int) -> list:
             back, report = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    os.close(write)  # the queue ends when the feeding thread closes it
+                    os.close(write)  # the queue ends when the parent or its thread closes it
                     os.close(back)
                     try:
                         payload = work()
@@ -528,9 +528,11 @@ def _forked_map(func, tasks: list, workers: int) -> list:
                     os._exit(1)
             os.close(report)
             children[pid] = back
-        # Started after forking, so no child copies a running thread; every
-        # process takes numbers while it writes, so any batch passes the pipe.
-        threading.Thread(target=feed, daemon=True).start()
+        # After every fork, so that a refused one hands out no task: 128 numbers, which
+        # any pipe holds, then a thread for the rest (no child copies it; every process
+        # takes numbers while it writes, so any batch passes) or just the queue's end.
+        os.write(write, numbers[:512])
+        (threading.Thread(target=feed, daemon=True).start if len(numbers) > 512 else feed)()
         owned.remove(write)
         results = dict(work())
         reports = [open(back, "rb", closefd=False).read() for back in children.values()]
@@ -547,6 +549,13 @@ def _forked_map(func, tasks: list, workers: int) -> list:
     return [results[k] for k in range(len(tasks))]
 
 
+def _file_size(path) -> int:
+    """The size of the file at path, or 0 where it cannot be read."""
+    with contextlib.suppress(OSError):
+        return os.stat(path).st_size
+    return 0
+
+
 def cmd_batch(args) -> int:
     out_root = Path(args.out)
     tasks = []
@@ -559,13 +568,12 @@ def cmd_batch(args) -> int:
             name = f"{stem}_{k}"
         names.add(name)
         tasks.append((raw, str(out_root / name), args))
-    workers = min(args.workers, len(tasks))
-    if workers > 1:
-        results = _forked_map(_batch_one, tasks, workers)
-    else:
-        results = [_batch_one(task) for task in tasks]
+    # largest file first, ties in input order, so that no process ends the batch alone
+    order = sorted(range(len(tasks)), key=lambda k: -_file_size(tasks[k][0]))
+    ordered, workers = [tasks[k] for k in order], min(args.workers, len(tasks))
+    done = _forked_map(_batch_one, ordered, workers) if workers > 1 else map(_batch_one, ordered)
     worst = EXIT_OK
-    for name, code, message in results:
+    for _, (name, code, message) in sorted(zip(order, done)):
         status = "ok" if code == EXIT_OK else "FAILED"
         print(f"{status:6s} {name}: {message}")
         worst = max(worst, code)

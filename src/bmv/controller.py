@@ -164,22 +164,24 @@ class ClosedLoop:
             states[:, cols] = states[:, cols] @ U
 
     def fill(self, block: np.ndarray, v: np.ndarray, h: float) -> None:
-        """Write RK4 steps of length h into block[1:], at most BLOCK_STEPS of
-        them, from the state in block[0]; rows are [p_l, q, eta]."""
+        """Write RK4 steps of length h into block[1:] from the state in block[0],
+        rows [p_l, q, eta], anew from the last row written every BLOCK_STEPS rows."""
         mu, _, W = self.lap.modes
         count = len(block) - 1
-        table = self._dt_powers if h == self.dt else self._powers(h, count)
+        table = self._dt_powers if h == self.dt else self._powers(h, min(count, BLOCK_STEPS))
         leaders = block[:, : v.size]
-        start = tuple(block[0, cols] for cols in self._columns) + (W @ leaders[0], W @ v)
         # RK4 moves the leaders by exactly h v per step; sum those in order
         leaders[1:] = h * v
         np.cumsum(leaders, axis=0, out=leaders)
-        tmp = np.empty((count, mu.size))
-        for r, cols in enumerate(self._columns):
-            out = block[1:, cols]
-            np.multiply(table[r, 0, :count], start[0], out=out)
-            for c in (1, 2, 3):
-                out += np.multiply(table[r, c, :count], start[c], out=tmp)
+        forcing, tmp = W @ v, np.empty((min(count, BLOCK_STEPS), mu.size))
+        for first in range(0, count, BLOCK_STEPS):
+            rows, n = block[first : first + BLOCK_STEPS + 1], min(BLOCK_STEPS, count - first)
+            start = tuple(rows[0, cols] for cols in self._columns) + (W @ leaders[first], forcing)
+            for r, cols in enumerate(self._columns):
+                out = rows[1:, cols]
+                np.multiply(table[r, 0, :n], start[0], out=out)
+                for c in (1, 2, 3):
+                    out += np.multiply(table[r, c, :n], start[c], out=tmp[:n])
 
 
 def effective_closed_loop_matrix(L_ff: np.ndarray, gains: Gains) -> np.ndarray:

@@ -202,13 +202,8 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
 
 def scale(config: Configuration) -> float:
     """Root-mean-square distance of the agents from their centroid."""
-    return float(rms_radius(config.points))
-
-
-def rms_radius(points: np.ndarray) -> np.ndarray:
-    """``scale`` of positions shaped (..., n, d), one value per formation."""
-    offsets = points - points.mean(axis=-2, keepdims=True)
-    return np.sqrt(np.mean(sum_squares(offsets), axis=-1))
+    offsets = config.points - config.points.mean(axis=0)
+    return float(np.sqrt(np.mean(sum_squares(offsets))))
 
 
 def combined_command(

@@ -14,9 +14,9 @@ block, a block of equal steps at a time (see controller.ClosedLoop); leader
 paths are integrated exactly and two runs of the same scenario agree bit for
 bit.  The loop is stable for any gains, but RK4 only below a step bound: a run
 refuses a longer dt before it integrates.  The tracking error is read at every
-step.  The kept samples of each block are turned back and measured as soon as
-the block is integrated, so a run stops at the first block whose kept samples
-are non-finite, too large to square or collocated.
+step.  Chunks of whole blocks, however short the segments, are integrated and
+their kept samples measured one chunk at a time, so a run stops at the first
+chunk whose kept samples are non-finite, too large to square or collocated.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .errors import (
     WindowTooShort,
 )
 from .formation import (
+    COLLOCATION_FLOOR,
+    EPS_DEGENERATE,
     BearingSpec,
     Configuration,
     FormationGraph,
     combined_command,
-    edge_bearings,
     ensure_compatible,
-    rms_radius,
     scale,
     sum_squares,
 )
@@ -76,6 +76,9 @@ TIME_TOL = 1e-6
 # A run's steps, kept or not, may count at most this many state floats (512 MiB),
 # and a formation's dense (d*n)-wide matrices at most this many entries.
 MAX_RUN_ELEMENTS = 1 << 26
+
+# A run fills and measures a chunk of steps at a time: whole blocks, within this many state floats.
+CHUNK_FLOATS = 1 << 17
 
 
 class Segment:
@@ -385,65 +388,75 @@ def step(
     return block[1, : p.size], block[1, p.size :]
 
 
-def _steps(ctx: SimContext, counts: list[int]):
-    """Yield (segment, step size, times after each step) for every run of at
-    most BLOCK_STEPS equal steps.  A segment whose window is [t0, t1] takes
-    its count n of steps, at t0 + dt, t0 + 2 dt, ... and finally t1; the last
-    one is t1 - (t0 + (n - 1) dt) long, or dt when within TIME_TOL dt of it."""
-    dt = ctx.scenario.dt
+def _chunks(ctx: SimContext, counts: list[int], size: int):
+    """Yield the runs of equal steps of each chunk of at most ``size`` steps, as
+    (segment, step size, times after each step), whole blocks of BLOCK_STEPS
+    steps but the last of a segment's steps of one size.  A segment whose window
+    is [t0, t1] takes its count n of steps, at t0 + dt, ... and finally t1; the
+    last one is t1 - (t0 + (n - 1) dt) long, or dt when within TIME_TOL dt of it."""
+    dt, runs, room = ctx.scenario.dt, [], size
     for seg, n in zip(ctx.segments, counts):
-        if not n:
-            continue
         t0, t1 = seg.window
-        times = np.append(t0 + dt * np.arange(1.0, n), t1)
+        times = np.append(t0 + dt * np.arange(1.0, n), t1)[:n]
         last = t1 - (t0 + dt * (n - 1))
         full = n if abs(last - dt) <= TIME_TOL * dt else n - 1
-        for start in range(0, full, BLOCK_STEPS):
-            yield seg, dt, times[start : min(start + BLOCK_STEPS, full)]
-        if full < n:
-            yield seg, last, times[full:]
+        for h, stamps in ((dt, times[:full]), (last, times[full:])):
+            while stamps.size:
+                if room < min(stamps.size, BLOCK_STEPS):  # not the rest, nor a whole block
+                    yield runs
+                    runs, room = [], size
+                count = stamps.size if stamps.size <= room else room - room % BLOCK_STEPS
+                runs.append((seg, h, stamps[:count]))
+                room, stamps = room - count, stamps[count:]
+    yield runs
 
 
 def _measure(ctx: SimContext, positions: np.ndarray, out: dict[str, np.ndarray],
-             rows: slice) -> None:
-    """Write the bearing error, centroid and scale of stacked positions into
-    out[name][rows].
-
-    Raises ValueError on non-finite positions or ones whose squares overflow,
-    and DegenerateVector on collocated neighbours.
-    """
-    if not np.all(np.isfinite(positions)):
+             groups: list[tuple[int, int]]) -> None:
+    """Write the bearing error, centroid and scale of positions[a:b] into
+    out[name][a:b] for the consecutive row ranges (a, b) of ``groups``, in one
+    pass over an agents-major copy, with the bits of each group measured alone:
+    sums over edges in order, but pairwise for a group of one row, and over
+    agents pairwise for the scale.  Raises ValueError on non-finite positions
+    or ones whose squares overflow, and DegenerateVector on collocated
+    neighbours."""
+    graph, rows = ctx.graph, slice(groups[0][0], groups[-1][1])
+    x = np.ascontiguousarray(positions[rows].T).reshape(graph.n, graph.d, -1)
+    if not np.all(np.isfinite(x)):
         raise ValueError("positions contain non-finite entries")
-    pts = positions.reshape(len(positions), ctx.graph.n, ctx.graph.d)
     try:
         with np.errstate(over="raise"):
-            mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
-            out["bearing_error"][rows] = np.sqrt(sum_squares(mismatch)).sum(axis=-1)
-            out["centroid"][rows] = pts.mean(axis=1)
-            out["scale"][rows] = rms_radius(pts)
-    except DegenerateVector as exc:
-        raise _collocation(ctx, pts, exc) from None
+            diffs = x[graph.edge_array[:, 1]] - x[graph.edge_array[:, 0]]
+            norms = np.sqrt(sum_squares(diffs.transpose(0, 2, 1)))
+            longest = norms.max(axis=0, initial=0.0)
+            if np.any(short := norms <= np.maximum(EPS_DEGENERATE * longest, COLLOCATION_FLOOR)):
+                raise _collocation(ctx, x.transpose(0, 2, 1), longest, short)
+            bearings = diffs / norms[:, None] - ctx.bearing_spec.vectors[:, :, None]
+            mismatch = np.sqrt(sum_squares(bearings.transpose(0, 2, 1)))
+            error = np.add.reduce(mismatch, axis=0)
+            alone = [a - rows.start for a, b in groups if b - a == 1]
+            error[alone] = np.add.reduce(np.ascontiguousarray(mismatch[:, alone].T), 1)
+            centroid = np.add.reduce(x, axis=0) / graph.n
+            radii = sum_squares((x - centroid).transpose(0, 2, 1))
+            scales = np.sqrt(np.add.reduce(np.ascontiguousarray(radii.T), 1) / graph.n)
     except FloatingPointError:
         raise ValueError("the run diverged: its positions grew too large to square") from None
+    out["bearing_error"][rows], out["centroid"][rows], out["scale"][rows] = (
+        error, centroid.T, scales)
 
 
-def _collocation(ctx: SimContext, pts: np.ndarray, exc: DegenerateVector) -> DegenerateVector:
-    """``exc``, which edge_bearings raised on the formations ``pts``, with the two
-    agents' distance and the longest edge, as a multiple of the reference
-    formation's, in the first formation it refuses: a run that diverges
-    shows as an edge stretched far past the reference, not a short one."""
-    for points in pts:
-        try:
-            edge_bearings(ctx.graph, points)
-        except DegenerateVector:
-            break
-    ends = ctx.graph.edge_array
-    longest = [np.sqrt(sum_squares(p[ends[:, 1]] - p[ends[:, 0]])).max()
-               for p in (points, ctx.scenario.reference_config.points)]
-    i, j = exc.agents
-    return DegenerateVector(f"{exc}: {math.dist(points[i], points[j]):.3g} apart, with the "
-                            f"longest edge {longest[0] / longest[1]:.3g} times the reference "
-                            f"formation's", agents=exc.agents)
+def _collocation(ctx: SimContext, x: np.ndarray, longest: np.ndarray,
+                 short: np.ndarray) -> DegenerateVector:
+    """The first ``short`` edge (m, rows) of the first of formations x (n, rows, d)
+    that has one, with the two agents' distance and the longest edge as a multiple
+    of the reference formation's: a run that diverges shows as a stretched one."""
+    row, k = divmod(int(short.T.argmax()), short.shape[0])
+    (i, j), ends, ref = ctx.graph.edges[k], ctx.graph.edge_array, ctx.scenario.reference_config
+    reference = np.sqrt(sum_squares(ref.points[ends[:, 1]] - ref.points[ends[:, 0]])).max()
+    return DegenerateVector(f"agents {i} and {j} are collocated (edge {k}): "
+                            f"{math.dist(x[i, row], x[j, row]):.3g} apart, with the "
+                            f"longest edge {longest[row] / reference:.3g} times the "
+                            f"reference formation's", agents=(i, j))
 
 
 def kept_rows(last: int, every: int) -> range:
@@ -458,14 +471,14 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     and the final one.
 
     Each segment takes ceil(span / dt - TIME_TOL) steps of the scenario dt,
-    the last one shortened to land on the segment's end (see _steps).  The
+    the last one shortened to land on the segment's end (see _chunks).  The
     tracking error (distance of the followers from their current targets) is
     read at every step and fitted as ``decay`` over the last segment
     integrated, above 1e-13 of the reference formation's scale.  The kept
     samples also get the total bearing mismatch and the formation's centroid
-    and scale, measured block by block as the run goes: the first block
-    whose kept samples are non-finite or too large to square (ValueError), or
-    collocated (DegenerateVector), ends the run there.  Raises ValueError
+    and scale, measured a chunk (CHUNK_FLOATS) at a time as the run goes: the
+    first chunk whose kept samples are non-finite or too large to square
+    (ValueError), or collocated (DegenerateVector), ends the run.  Raises ValueError
     before integrating when RK4 at the scenario dt would amplify a mode of the
     closed loop (see ClosedLoop.amplification), naming the largest stable dt,
     and when every step's state would exceed MAX_RUN_ELEMENTS floats.
@@ -494,25 +507,37 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
     kept[0, :nd] = ctx.initial_positions
     metrics = {"bearing_error": np.empty(at.size), "centroid": np.empty((at.size, graph.d)),
                "scale": np.empty(at.size)}
-    _measure(ctx, kept[:1, :nd], metrics, slice(0, 1))
-    times = np.zeros(steps + 1)
-    errors = np.empty(steps + 1)
-    block = np.zeros((BLOCK_STEPS + 1, width))  # rows [p_l, q, eta]
-    block[0] = kept[0]
-    ctx.loop.change_basis(block[:1], modal=True)
-    errors[:1] = ctx.loop.tracking_error(block[:1])
+    _measure(ctx, kept[:, :nd], metrics, [(0, 1)])
+    times, errors = np.zeros(steps + 1), np.empty(steps + 1)
+    size = max(1, CHUNK_FLOATS // (BLOCK_STEPS * width)) * BLOCK_STEPS
+    chunk = np.zeros((size + 1, width))  # rows [p_l, q, eta]
+    chunk[0] = kept[0]
+    ctx.loop.change_basis(chunk[:1], modal=True)
+    errors[:1] = ctx.loop.tracking_error(chunk[:1])
     k = 0
-    for seg, h, stamps in _steps(ctx, counts):
-        count = len(stamps)
-        ctx.loop.fill(block[: count + 1], seg.leader_velocity, h)
-        times[k + 1 : k + 1 + count] = stamps
-        errors[k + 1 : k + 1 + count] = ctx.loop.tracking_error(block[1 : count + 1])
-        rows = slice(*np.searchsorted(at, (k + 1, k + count + 1)))  # kept steps k+1..k+count
-        kept[rows] = block[at[rows] - k]
-        ctx.loop.change_basis(kept[rows], modal=False)
-        _measure(ctx, kept[rows, :nd], metrics, rows)
-        block[0] = block[count]
-        k += count
+    for runs in _chunks(ctx, counts, size):
+        ends = [0]  # the chunk's blocks end after these of its steps
+        for seg, h, stamps in runs:
+            count, first = len(stamps), ends[-1]
+            ctx.loop.fill(chunk[first : first + count + 1], seg.leader_velocity, h)
+            times[k + first + 1 : k + first + count + 1] = stamps
+            ends += [*range(first + BLOCK_STEPS, first + count, BLOCK_STEPS), first + count]
+        for a, b in zip(ends, ends[1:]):  # the products of the blocks alone, bit for bit
+            errors[k + a + 1 : k + b + 1] = ctx.loop.tracking_error(chunk[a + 1 : b + 1])
+        bounds = np.searchsorted(at, np.array(ends) + k + 1).tolist()  # kept rows by block
+        rows, count = slice(bounds[0], bounds[-1]), ends[-1]
+        kept[rows] = chunk[at[rows] - k]
+        groups = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        for a, b in groups:
+            ctx.loop.change_basis(kept[a:b], modal=False)
+        try:
+            if groups:
+                _measure(ctx, kept[:, :nd], metrics, groups)
+        except ValueError:  # raised as the first group that holds a bad row would alone
+            for group in groups:
+                _measure(ctx, kept[:, :nd], metrics, [group])
+            raise
+        chunk[0], k = chunk[count], k + count
     start = steps - next((n for n in reversed(counts) if n), 0)  # the last segment's
     fitted = errors[start:] > 1e-13 * scale(ctx.scenario.reference_config)
     try:

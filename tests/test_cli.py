@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -1206,6 +1207,59 @@ def test_batch_passes_more_tasks_and_results_than_a_pipe_holds(tmp_path, monkeyp
     code = main(["batch", *names, "--workers", "2", "--out", str(tmp_path / "b")])
     assert code == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [f"ok     {name}: stub" for name in names]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("count, threads", [(2, 0), (128, 0), (129, 1)])
+def test_batch_feeds_the_queue_from_a_thread_only_past_128_tasks(count, threads, tmp_path,
+                                                                 monkeypatch, capsys):
+    # 128 task numbers are 512 bytes, which any pipe holds: they are written
+    # before forking, so every process starts at once
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(bmv.cli, "_batch_one", lambda task: (task[0], EXIT_OK, "stub"))
+    names = [f"s{k:03d}.json" for k in range(count)]
+    assert main(["batch", *names, "--workers", "2", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [f"ok     {name}: stub" for name in names]
+    assert len(started) == threads
+    _assert_no_child_left()
+
+
+def test_batch_runs_the_largest_file_first(tmp_path, monkeypatch, capsys):
+    # files of 10, 30, 20 and 30 bytes and one that cannot be read: largest
+    # first, ties in input order, and the lines still in input order
+    names = []
+    for k, size in enumerate([10, 30, 20, 30]):
+        names.append(str(tmp_path / f"s{k}.json"))
+        Path(names[-1]).write_text("x" * size)
+    names.insert(2, str(tmp_path / "missing.json"))
+    ran = []
+
+    def stub(task):
+        ran.append(task[0])
+        return task[0], EXIT_OK, "stub"
+
+    monkeypatch.setattr(bmv.cli, "_batch_one", stub)
+    assert main(["batch", *names, "--workers", "1", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert ran == [names[k] for k in (1, 4, 3, 0, 2)]
+    assert capsys.readouterr().out.splitlines() == [f"ok     {name}: stub" for name in names]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_reports_a_path_it_cannot_read(scenario_file, tmp_path, capsys, workers):
+    missing = tmp_path / "missing.json"
+    code = main(["batch", str(missing), str(scenario_file), "--out", str(tmp_path / "b"),
+                 "--workers", workers, "--decimate", "50"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_INPUT
+    assert lines[0].startswith(f"FAILED {missing}: ") and ": cannot read: " in lines[0]
+    assert lines[1].startswith(f"ok     {scenario_file}: bearing_error=")
+    assert len(lines) == 2
     _assert_no_child_left()
 
 

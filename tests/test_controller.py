@@ -28,7 +28,7 @@ from bmv import (
     verify_hurwitz,
 )
 from bmv.cli import bundled_scenario_path, load_scenario
-from bmv.controller import GAIN_LIMIT, largest_stable_step, step_amplification
+from bmv.controller import BLOCK_STEPS, GAIN_LIMIT, largest_stable_step, step_amplification
 from bmv.sim import structure
 from conftest import loop_advance, loop_rate, random_formation
 
@@ -222,6 +222,31 @@ def test_modal_step_is_one_rk4_step(seed, n, d, leaders, k_p, k_i, h):
     p_step, xi_step = step(ctx, (p, xi), 0.0, h)
     np.testing.assert_allclose(np.concatenate([p_step, xi_step]), np.concatenate([p_ref, xi_ref]),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h_per_dt, count", [(1.0, 1000), (0.7, 300), (1.0, 128), (1.0, 1)])
+def test_a_fill_of_many_steps_writes_each_block_as_alone(h_per_dt, count):
+    # rows 1..128 from row 0, rows 129..256 from row 128, ...: the same bits as
+    # one fill of at most BLOCK_STEPS steps a block, and as the tabulated powers
+    # of the step applied to the block's first row, term by term
+    ctx = assemble(load_scenario(bundled_scenario_path("narrow_passage_2d")).scenario)
+    loop, v, h = ctx.loop, ctx.segments[1].leader_velocity, h_per_dt * ctx.scenario.dt
+    width = ctx.laplacian.matrix.shape[0] + ctx.graph.d * ctx.graph.n_followers
+    whole = np.zeros((count + 1, width))
+    whole[0, : ctx.initial_positions.size] = ctx.initial_positions
+    loop.change_basis(whole[:1], modal=True)
+    blocks = whole.copy()
+    loop.fill(whole, v, h)
+    table, W = loop._powers(h, BLOCK_STEPS), loop.lap.modes[2]
+    for first in range(0, count, BLOCK_STEPS):
+        rows = blocks[first : min(first + BLOCK_STEPS, count) + 1]
+        loop.fill(rows, v, h)
+        start = [rows[0, cols] for cols in loop._columns] + [W @ rows[0, : v.size], W @ v]
+        for r, cols in enumerate(loop._columns):
+            powers = table[r, :, : len(rows) - 1]
+            np.testing.assert_array_equal(
+                rows[1:, cols], sum(powers[c] * start[c] for c in range(4)))
+    np.testing.assert_array_equal(whole, blocks)
 
 
 def test_effective_matrix_drops_integrator_when_ki_zero():

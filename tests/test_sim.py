@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bmv.sim
 from bmv import (
     ClosedLoop,
     Configuration,
@@ -31,7 +32,9 @@ from bmv import (
     target_follower_positions,
 )
 from bmv.cli import bundled_scenario_path, load_scenario
-from bmv.sim import COORDINATE_LIMIT, _uniform
+from bmv.controller import BLOCK_STEPS
+from bmv.formation import edge_bearings
+from bmv.sim import COORDINATE_LIMIT, TIME_TOL, _uniform, kept_rows
 from conftest import SQUARE_EDGES, SQUARE_POINTS, random_formation
 
 
@@ -302,6 +305,106 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.bearing_error, b.bearing_error)
 
 
+def _counted_measure(monkeypatch):
+    measure = bmv.sim._measure
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        measure(*args)
+
+    monkeypatch.setattr(bmv.sim, "_measure", counted)
+    return calls
+
+
+def test_short_segments_are_measured_as_seldom_as_one_long_one(monkeypatch):
+    # 500 steps as one segment, and as 500 segments of one step each: the
+    # chunks that a run measures hold whole runs of steps, however short
+    v = np.array([0.2, 0.0])
+    cuts = [k * 1e-3 for k in range(501)]
+    schedules = [(Segment(0.0, 0.5, v),), [Segment(a, b, v) for a, b in zip(cuts, cuts[1:])]]
+    counts = []
+    for schedule in schedules:
+        calls = _counted_measure(monkeypatch)
+        assert run(assemble(_square_scenario(duration=0.5, schedule=schedule))).steps == 500
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _many_short_segments():
+    # spans of 1 to 300 steps, most of them not a whole number of steps
+    v, cuts = np.array([0.2, -0.1]), [0.0]
+    for k in range(60):
+        cuts.append(cuts[-1] + 1e-3 * (1 + (k * 37) % 300 + 0.37 * (k % 3)))
+    schedule = [Segment(a, b, v * (1 + k % 3), 0.01 * (k % 5 - 2))
+                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    return _square_scenario(schedule=schedule, duration=cuts[-1])
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("name, every", [
+    ("narrow_passage_2d", 1), ("narrow_passage_2d", 7), ("narrow_passage_3d", 1),
+    ("narrow_passage_3d", 7), ("short segments", 1), ("short segments", 7),
+])
+def test_any_chunk_size_gives_the_same_bits(monkeypatch, name, every, blocks):
+    # the default chunk against one of a few blocks: each fills, turns back and
+    # measures its blocks as the block's own products and sums would
+    scenario = (_many_short_segments() if name == "short segments"
+                else load_scenario(bundled_scenario_path(name)).scenario)
+    ctx = assemble(scenario)
+    default = run(ctx, every)
+    width = default.positions.shape[1] + default.xi.shape[1]
+    monkeypatch.setattr(bmv.sim, "CHUNK_FLOATS", blocks * BLOCK_STEPS * width)
+    chunked = run(ctx, every)
+    for field in ("times", "positions", "xi", "bearing_error", "tracking_error", "centroid",
+                  "scale"):
+        np.testing.assert_array_equal(getattr(chunked, field), getattr(default, field))
+    assert (chunked.steps, chunked.decay) == (default.steps, default.decay)
+
+
+def _block_ends(ctx):
+    """The step that ends each block of a run: a segment's steps of dt
+    BLOCK_STEPS at a time, then its shortened last step alone."""
+    dt, ends = ctx.scenario.dt, [0]
+    for seg in ctx.segments:
+        t0, t1 = seg.window
+        n = math.ceil(max(0.0, t1 - t0) / dt - TIME_TOL)
+        full = n if abs(t1 - (t0 + dt * (n - 1)) - dt) <= TIME_TOL * dt else n - 1
+        k = ends[-1]
+        ends += [min(k + s, k + full) for s in range(BLOCK_STEPS, full + BLOCK_STEPS, BLOCK_STEPS)]
+        ends += [k + n] if full < n else []
+    return ends
+
+
+@pytest.mark.parametrize("every", [1, 7, 100, 1000])
+@pytest.mark.parametrize("name", ["narrow_passage_3d", "short segments"])
+def test_kept_samples_are_measured_as_each_block_alone(monkeypatch, name, every):
+    # the reference: the kept samples of each block, and sample 0, measured as
+    # formations shaped (rows, n, d), in numpy's own summation orders; the
+    # tracking error of each block's steps is read in a product of its own
+    scenario = (_many_short_segments() if name == "short segments"
+                else load_scenario(bundled_scenario_path(name)).scenario)
+    ctx = assemble(scenario)
+    read, tracking_error = [], ClosedLoop.tracking_error
+    monkeypatch.setattr(ClosedLoop, "tracking_error",
+                        lambda self, block: read.append(len(block)) or tracking_error(self, block))
+    traj = run(ctx, every)
+    ends = _block_ends(ctx)
+    assert read == [1, *np.diff(ends)]
+    at = np.minimum(kept_rows(traj.steps, every), traj.steps)
+    bounds = [0, *np.searchsorted(at, np.array(ends) + 1)]
+    assert bounds[-1] == traj.times.size
+    for a, b in zip(bounds, bounds[1:]):
+        pts = traj.positions[a:b].reshape(b - a, traj.n, traj.d)
+        mismatch = edge_bearings(ctx.graph, pts) - ctx.bearing_spec.vectors
+        offsets = pts - pts.mean(axis=1, keepdims=True)
+        np.testing.assert_array_equal(traj.bearing_error[a:b],
+                                      np.sqrt(np.sum(mismatch**2, axis=-1)).sum(axis=-1))
+        np.testing.assert_array_equal(traj.centroid[a:b], pts.mean(axis=1))
+        np.testing.assert_array_equal(traj.scale[a:b],
+                                      np.sqrt(np.mean(np.sum(offsets**2, axis=-1), axis=-1)))
+
+
 def _counted_fill(monkeypatch, injected=None):
     """Count the calls of ClosedLoop.fill, and let ``injected`` rewrite in place
     the rows [p_l, q, eta] each call fills."""
@@ -319,8 +422,8 @@ def _counted_fill(monkeypatch, injected=None):
 
 
 def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
-    # the kept samples are measured block by block, so a run stops at the
-    # first block that holds a bad one: a collocated start before any block
+    # the kept samples are measured a chunk at a time, so a run stops at the
+    # first chunk that holds a bad one: a collocated start before any chunk
     calls = _counted_fill(monkeypatch)
     collocated = SQUARE_POINTS.copy()
     collocated[3] = collocated[2]
@@ -328,7 +431,7 @@ def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
     with pytest.raises(DegenerateVector, match="agents 2 and 3"):
         run(ctx)
     assert calls == []
-    # a dt far past RK4's stability limit is refused before any block
+    # a dt far past RK4's stability limit is refused before any chunk
     ctx = assemble(_square_scenario(
         gains=Gains(k_p=1e3, k_i=1.0), dt=0.1, duration=100.0,
         schedule=(Segment(0.0, 100.0, np.array([0.2, 0.0])),),
@@ -341,9 +444,22 @@ def test_metrics_reject_collocated_and_non_finite_states(monkeypatch):
     def poisoned(rows):
         rows[5] = np.nan
 
-    # a state gone non-finite in the first of the 16 blocks ends the run there
+    # a state gone non-finite in the first chunk ends the run before another
     calls = _counted_fill(monkeypatch, poisoned)
     with pytest.raises(ValueError, match="non-finite"):
+        run(assemble(_square_scenario()))
+    assert len(calls) == 1
+
+
+def test_a_chunk_ends_the_run_in_the_error_of_its_first_bad_block(monkeypatch):
+    # one chunk holds the whole run: a collocated sample in its first block and
+    # a non-finite one in its second end the run as measuring block by block does
+    def spoiled(rows):
+        rows[5, 2:4] = rows[5, 0:2]  # leader 1 onto leader 0
+        rows[200, 0] = np.nan
+
+    calls = _counted_fill(monkeypatch, spoiled)
+    with pytest.raises(DegenerateVector, match=r"^agents 0 and 1 are collocated \(edge 0\): 0 "):
         run(assemble(_square_scenario()))
     assert len(calls) == 1
 
