@@ -29,7 +29,7 @@ import numpy as np
 from .controller import Gains
 from .csvtext import write_csv
 from .errors import DegenerateVector, NotLocalizable, NotRigid, ParseError
-from .formation import Configuration, FormationGraph, scale
+from .formation import Configuration, FormationGraph
 from .rigidity import required_rank, rigidity_rank
 from .sim import (
     COORDINATE_LIMIT,
@@ -41,6 +41,7 @@ from .sim import (
     Trajectory,
     assemble,
     ensure_dense_fits,
+    kept_rows,
     run,
     structure,
 )
@@ -308,12 +309,14 @@ def _trajectory_header(labels, d: int) -> list[str]:
 def write_trajectory_csv(
     path: Path, traj: Trajectory, labels: tuple[str, ...], decimate: int = 1
 ) -> None:
-    """Write the kept samples of ``traj`` as trajectory.csv: every ``decimate``-th
-    and the final one, each value the repr of a float, which round-trips
-    exactly.  Memory beyond ``traj`` is one block of values (see write_csv)."""
-    write_csv(path, _trajectory_header(labels, traj.d),
-               [traj.times, traj.positions, traj.bearing_error, traj.tracking_error,
-                traj.centroid, traj.scale], decimate)
+    """Write the samples of ``traj`` as trajectory.csv, each value the repr of a
+    float, which round-trips exactly.  Memory beyond ``traj`` is one block of
+    values (see write_csv), but a ``decimate`` above 1 writes copies of only the
+    samples kept_rows picks; commands decimate in ``run`` instead."""
+    columns = [traj.times, traj.positions, traj.bearing_error, traj.tracking_error,
+               traj.centroid, traj.scale]
+    rows = kept_rows(len(traj.times) - 1, decimate) if decimate > 1 else slice(None)
+    write_csv(path, _trajectory_header(labels, traj.d), [column[rows] for column in columns])
 
 
 def _spectrum(ctx: SimContext) -> dict:
@@ -387,7 +390,7 @@ def build_summary(ctx: SimContext, traj: Trajectory) -> dict:
                 "t_end": seg.t_end,
                 "v_c": [float(v) for v in seg.v_c],
                 "predicted_scale_rate": seg.predicted_scale_rate,
-                "target_scale_at_start": scale(seg.target_start),
+                "target_scale_at_start": seg.target_scale,
             }
             for seg in ctx.segments
         ],
@@ -463,7 +466,7 @@ def _run_bundle(path, outdir: Path, args, dump_xi: bool = False) -> Trajectory:
     (outdir / "summary.json").write_text(summary + "\n", encoding="utf-8")
     if dump_xi:
         header = ["t", *_columns(labels[traj.n_leaders :], traj.d)]
-        write_csv(outdir / "xi.csv", header, [traj.times, traj.xi], 1)
+        write_csv(outdir / "xi.csv", header, [traj.times, traj.xi])
     return traj
 
 

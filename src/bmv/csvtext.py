@@ -9,8 +9,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim import kept_rows
-
 # Each float is written as repr writes it: the fewest significant digits
 # that read back as the same float and, of those, the nearest to it.
 # _csv_keys finds them for a block of values at once in fixed-width
@@ -335,26 +333,20 @@ def _csv_lines(table: np.ndarray, buf: _CsvBuffers) -> bytearray:
     return buf.text.translate(None, b"\0")
 
 
-def write_csv(path: Path, header: list[str], columns, decimate: int) -> None:
-    """Write the header, then every ``decimate``-th sample and the final one, a
-    row each, as UTF-8: ``columns`` hold a value or a row of values a sample,
-    side by side in ``header``'s order.  The rows are formatted and written
-    CSV_BLOCK_VALUES values (at least a row) at a time in buffers allocated
-    once, when the file is opened, so the memory held is one block's, however
-    long the file."""
-    last = len(columns[0]) - 1
-    rows = kept_rows(last, decimate)
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the header, then every sample, a row each, as UTF-8: ``columns``
+    hold a value or a row of values a sample, side by side in ``header``'s
+    order.  The rows are formatted and written CSV_BLOCK_VALUES values (at
+    least a row) at a time in buffers allocated once, when the file is opened,
+    so the memory held is one block's, however long the file."""
+    rows = len(columns[0])
     block = max(1, CSV_BLOCK_VALUES // len(header))
-    columns = [column.reshape(last + 1, -1) for column in columns]
+    columns = [column.reshape(rows, -1) for column in columns]
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode("utf-8"))
-        buf = _csv_buffers(min(block, len(rows)), len(header))
-        for start in range(0, len(rows), block):
-            picked = rows[start : start + block]
-            table = buf.table[: len(picked)]
-            parts = [column[picked.start : picked.stop : picked.step] for column in columns]
-            kept = len(parts[0])
-            np.concatenate(parts, axis=1, out=table[:kept])
-            if kept < len(picked):  # the final sample stands for a row past it
-                np.concatenate([column[last] for column in columns], out=table[kept])
+        buf = _csv_buffers(min(block, rows), len(header))
+        for start in range(0, rows, block):
+            table = buf.table[: min(block, rows - start)]
+            np.concatenate([column[start : start + block] for column in columns], axis=1,
+                           out=table)
             out.write(_csv_lines(table, buf))

@@ -132,6 +132,7 @@ class ResolvedSegment(NamedTuple):
     v_c: np.ndarray
     leader_velocity: np.ndarray
     target_start: Configuration
+    target_scale: float  # scale(target_start)
     predicted_scale_rate: float
     window: tuple[float, float]  # the part of [0, duration] it covers; may be empty
 
@@ -166,9 +167,9 @@ class SimContext:
         scenario = self.scenario
         if scenario.initial_config is not None:
             return scenario.initial_config.stacked.copy()
-        graph, target = self.graph, self.segments[0].target_start
-        amplitude = PERTURBATION_FRACTION * scale(target)
-        points = target.points.copy()
+        graph, first = self.graph, self.segments[0]
+        amplitude = PERTURBATION_FRACTION * first.target_scale
+        points = first.target_start.points.copy()
         draws = _uniform(scenario.seed, -amplitude, amplitude, graph.n_followers * graph.d)
         points[graph.n_leaders :] += np.reshape(draws, (graph.n_followers, graph.d))
         return points.reshape(-1)
@@ -355,7 +356,8 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
             )
         segments.append(ResolvedSegment(
             t_start=seg.t_start, t_end=seg.t_end, v_c=seg.v_c, leader_velocity=velocity,
-            target_start=target, predicted_scale_rate=rate, window=(t0, t1)))
+            target_start=target, target_scale=s_start, predicted_scale_rate=rate,
+            window=(t0, t1)))
         leader_stack = end
     if cursor < scenario.duration - slack:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
@@ -459,16 +461,15 @@ def _collocation(ctx: SimContext, x: np.ndarray, longest: np.ndarray,
                             f"reference formation's", agents=(i, j))
 
 
-def kept_rows(last: int, every: int) -> range:
-    """Samples 0, k, 2k, ... and the first at or past ``last``, which stands for
-    the final sample ``last``: clamp it.  k is ``every``, at most max(last, 1)."""
-    step = min(every, max(last, 1))
-    return range(0, last + step, step)
+def kept_rows(last: int, every: int) -> np.ndarray:
+    """Samples 0, k, 2k, ... below ``last``, then the final sample ``last``
+    itself.  k is ``every``, at most max(last, 1)."""
+    return np.append(np.arange(0, last, min(every, max(last, 1))), last)
 
 
 def run(ctx: SimContext, every: int = 1) -> Trajectory:
-    """Integrate the whole schedule, keeping samples 0, every, 2*every, ...
-    and the final one.
+    """Integrate the whole schedule, keeping only the samples
+    kept_rows(steps, every): 0, every, 2*every, ... and the final one.
 
     Each segment takes ceil(span / dt - TIME_TOL) steps of the scenario dt,
     the last one shortened to land on the segment's end (see _chunks).  The
@@ -502,7 +503,7 @@ def run(ctx: SimContext, every: int = 1) -> Trajectory:
             f"the run takes about {sum(spans):.3g} steps of {width} floats each, "
             f"more than the {MAX_RUN_ELEMENTS} floats a run may step through"
         )
-    at = np.minimum(kept_rows(steps, every), steps)
+    at = kept_rows(steps, every)
     kept = np.zeros((at.size, width))
     kept[0, :nd] = ctx.initial_positions
     metrics = {"bearing_error": np.empty(at.size), "centroid": np.empty((at.size, graph.d)),

@@ -24,9 +24,8 @@ from hypothesis import strategies as st
 
 import bmv
 import bmv.cli
-import bmv.csvtext
 from bmv import (BearingSpec, HurwitzReport, ParseError, assemble, bearing_laplacian,
-                 closed_loop_spectrum, rigidity_report, run)
+                 closed_loop_spectrum, rigidity_report, run, scale)
 from bmv.cli import (
     COORDINATE_LIMIT,
     ECHO_LIMIT,
@@ -591,139 +590,6 @@ def test_writing_a_trajectory_holds_one_block_of_rows(tmp_path):
     assert max(peaks) < 2 * 2**20, peaks
 
 
-def test_writing_a_wide_table_holds_one_block_of_values(tmp_path):
-    # rows of 389 values, as wide as the widest benchmark formation's: blocks
-    # are counted in values, so the writer's first call, which builds its
-    # tables, stays under the same bound as the narrow one above.  A block of
-    # 128 rows held 3.0 MB of text; more rows than 500 would add only time.
-    probe = (
-        "import sys, tracemalloc\n"
-        "from pathlib import Path\n"
-        "import numpy as np\n"
-        "from bmv.csvtext import write_csv\n"
-        "table = np.random.default_rng(0).standard_normal((500, 389))\n"
-        "header = [f'c{k}' for k in range(389)]\n"
-        "tracemalloc.start()\n"
-        "write_csv(Path(sys.argv[1]), header, [table], 1)\n"
-        "print(tracemalloc.get_traced_memory()[1])\n"
-    )
-    src = Path(bmv.__file__).resolve().parents[1]
-    path = tmp_path / "wide.csv"
-    peak = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
-                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
-                          timeout=120).stdout
-    lines = path.read_text().splitlines()
-    table = np.random.default_rng(0).standard_normal((500, 389))[[0, -1]]
-    assert [len(lines), lines[1], lines[-1]] == [501, *_repr_lines(table).splitlines()]
-    assert int(peak) < 2 * 2**20, peak
-
-
-def test_writing_a_table_reuses_its_block_buffers(tmp_path):
-    # every block is formatted in the buffers allocated when the file is
-    # opened, so no block hands memory back to the system for the next one to
-    # fault in again: about 34,000 minor faults a write when each block
-    # allocated its own temporaries
-    probe = (
-        "import resource, sys\n"
-        "from pathlib import Path\n"
-        "import numpy as np\n"
-        "from bmv.csvtext import write_csv\n"
-        "values = np.random.default_rng(0).standard_normal(400_000)\n"
-        "out = Path(sys.argv[1])\n"
-        "write_csv(out, [f'c{k}' for k in range(18)], [values[:180].reshape(10, 18)], 1)\n"
-        "for cols in (18, 389):\n"
-        "    table = values[: values.size // cols * cols].reshape(-1, cols)\n"
-        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    write_csv(out, [f'c{k}' for k in range(cols)], [table], 1)\n"
-        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
-    src = Path(bmv.__file__).resolve().parents[1]
-    faults = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "values.csv")],
-                            capture_output=True, text=True, check=True,
-                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120).stdout
-    assert [int(count) < 2000 for count in faults.split()] == [True, True], faults
-
-
-def _repr_lines(table: np.ndarray) -> str:
-    """The CSV lines of ``table`` as repr writes each value: the specification."""
-    return "".join([",".join(map(repr, row)) + "\n" for row in table.tolist()])
-
-
-@settings(max_examples=100, deadline=None)
-@given(table=st.integers(1, 6).flatmap(lambda cols: st.lists(
-    st.lists(st.floats(), min_size=cols, max_size=cols), min_size=1, max_size=6)))
-@example(table=[[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
-def test_csv_values_are_their_repr(table):
-    table = np.array(table, dtype=np.float64)
-    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
-    assert lines == _repr_lines(table).encode()
-
-
-def test_csv_values_are_their_repr_at_every_scale(tmp_path):
-    # every power of two and of ten the numpy kernel takes, each with its
-    # neighbours; repr's switches between fixed and exponent notation; the
-    # integers around 2**53; and random bit patterns, written through the
-    # writer's own blocks
-    values = [float(f"1e{k}") for k in range(-240, 241)] + [2.0**k for k in range(-797, 798)]
-    values = np.array(values)
-    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf),
-                             [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1e15],
-                             2.0**53 + np.arange(-64.0, 65.0)])
-    # sorted, the bit patterns the kernel declines (a fifth) share rows
-    bits = np.random.default_rng(26).integers(0, 2**64, 200_000, dtype=np.uint64)
-    values = np.concatenate([values, -values, np.sort(bits.view(np.float64))])
-    table = values[: values.size // 8 * 8].reshape(-1, 8)
-    path = tmp_path / "values.csv"
-    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(8)], [table], 1)
-    header, lines = path.read_text().split("\n", 1)
-    assert header == "c0,c1,c2,c3,c4,c5,c6,c7"
-    assert lines == _repr_lines(table)
-
-
-@pytest.mark.parametrize("block", ["one value", "37 values", "one row short", "default"])
-def test_any_block_size_writes_the_same_bytes(tmp_path, monkeypatch, block):
-    # the kept rows of a table at decimate 3, whose final sample is off the
-    # stride, with values the kernel declines and values with texts of their
-    # own in the first and last rows of blocks: each block size writes repr's
-    # bytes.  "one row short" leaves the final sample a block of its own.
-    cols = 7
-    table = np.random.default_rng(28).standard_normal((200, cols)) * 10.0 ** np.arange(-3, 4)
-    kept = [*range(0, 199, 3), 199]
-    specials = [5e-324, 1e300, 0.0, -0.0, math.nan, math.inf, -math.inf]
-    for r, row in enumerate(kept):
-        if r % 5 in (0, 4) or r >= len(kept) - 2:
-            table[row, r % cols] = specials[r % len(specials)]
-            table[row, (r + 3) % cols] = specials[(r + 2) % len(specials)]
-    values = {"one value": 1, "37 values": 37, "one row short": (len(kept) - 1) * cols,
-              "default": bmv.csvtext.CSV_BLOCK_VALUES}[block]
-    monkeypatch.setattr(bmv.csvtext, "CSV_BLOCK_VALUES", values)
-    path = tmp_path / "table.csv"
-    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(cols)], [table], 3)
-    header, lines = path.read_text().split("\n", 1)
-    assert header == ",".join(f"c{k}" for k in range(cols))
-    assert lines == _repr_lines(table[kept])
-
-
-def test_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
-    # 5e-324, 1e300 and -1e-300 lie outside the kernel's range, and the
-    # infinities have no template: each of them, and no neighbour, goes to
-    # repr, in the first column, the last and a row of them alone; zero and
-    # nan, of either sign, keep their templates
-    table = np.array([[0.5, 1 / 3, 0.25], [5e-324, 2.0, -0.0], [0.0, 0.2, 1e300],
-                      [-1e-300, -math.nan, math.inf], [0.1, math.nan, -math.inf]])
-    written = []
-
-    def spy(value):
-        written.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(bmv.csvtext, "repr", spy, raising=False)
-    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
-    assert lines == _repr_lines(table).encode()
-    assert [repr(value) for value in written] == [
-        "5e-324", "1e+300", "-1e-300", "inf", "-inf"]
-
-
 @pytest.mark.parametrize("split", [4.0, 5.0])
 def test_decay_fit_ignores_a_segment_the_run_never_reaches(split):
     # the run ends at t = 4, so the fit is over the last segment it integrates
@@ -907,6 +773,36 @@ def test_run_and_spectrum_build_the_spectrum_once(tmp_path, monkeypatch):
     ctx = assemble(load_scenario(path).scenario)
     build_summary(ctx, run(ctx, 100))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d", "500 segments"])
+def test_the_summary_reads_the_target_scales_assemble_computed(name, monkeypatch):
+    # assemble measures each segment's target for its floor check, and the
+    # summary records that number: bit for bit scale(target_start), read again
+    # by no scale call
+    if name == "500 segments":
+        schedule = [{"t0": k / 500, "t1": (k + 1) / 500, "vc": [0.1 * (k % 2), 0.0],
+                     "scale_rate": 0.1 * (k % 3 - 1)} for k in range(500)]
+        scenario = parse_scenario(small_doc(schedule=schedule)).scenario
+    else:
+        scenario = load_scenario(bundled_scenario_path(name)).scenario
+    ctx = assemble(scenario)
+    traj = run(ctx, 100)
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return scale(config)
+
+    for module in (bmv.formation, bmv.sim):
+        monkeypatch.setattr(module, "scale", counted)
+    monkeypatch.setattr(bmv.cli, "scale", counted, raising=False)
+    segments = build_summary(ctx, traj)["segments"]
+    assert calls == []
+    assert len(segments) == len(ctx.segments) == (500 if name == "500 segments" else
+                                                  len(scenario.schedule))
+    for entry, seg in zip(segments, ctx.segments):
+        assert entry["target_scale_at_start"].hex() == scale(seg.target_start).hex()
 
 
 @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_3d"])
@@ -1488,9 +1384,22 @@ def test_spectrum_gives_no_horizon_unless_the_loop_is_hurwitz(tmp_path, capsys, 
 
 def test_a_non_finite_value_ends_in_one_line_not_invalid_json(scenario_file, tmp_path, capsys,
                                                               monkeypatch):
-    monkeypatch.setattr(bmv.cli, "scale", lambda config: math.inf)
-    assert main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.count("\n") == 1
+    # the summary's last target scale is inf; the first one seeds the start
+    schedule = [{"t0": 0.0, "t1": 0.5, "vc": [0.1, 0.0]}, {"t0": 0.5, "t1": 5.0}]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(small_doc(schedule=schedule)))
+    assemble = bmv.cli.assemble
+
+    def inflated(*args):
+        ctx = assemble(*args)
+        *first, last = ctx.segments
+        ctx.segments = (*first, last._replace(target_scale=math.inf))
+        return ctx
+
+    monkeypatch.setattr(bmv.cli, "assemble", inflated)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not JSON compliant: inf" in err
     assert not (tmp_path / "o").exists()
     stuck = HurwitzReport(False, 0.0, np.array([complex(math.nan, 1.0)]))
     monkeypatch.setattr(bmv.controller, "closed_loop_spectrum", lambda mu, gains: stuck)

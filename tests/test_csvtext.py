@@ -1,9 +1,20 @@
-"""The CSV float kernel's certificate: for every binary exponent it takes, its
-tables and arithmetic settle a value only where the text is repr's."""
+"""The CSV writer: every value written as repr writes it, a block at a time in
+buffers allocated once, and the float kernel's certificate: for every binary
+exponent it takes, its tables and arithmetic settle a value only where the
+text is repr's."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bmv.csvtext
 from bmv.csvtext import CSV_FAST_RANGE, CSV_SLACK
@@ -132,3 +143,136 @@ def test_key_tables_agree_with_repr():
                 template = csvtext._template(key)
                 assert template.translate(str.maketrans(letters)) == text, (e, sign, x)
         assert counts[:2] == counts[2:] and 1 <= counts[0] <= counts[1] <= 2, e
+
+
+def test_writing_a_wide_table_holds_one_block_of_values(tmp_path):
+    # rows of 389 values, as wide as the widest benchmark formation's: blocks
+    # are counted in values, so the writer's first call, which builds its
+    # tables, stays under the same bound as the narrow one above.  A block of
+    # 128 rows held 3.0 MB of text; more rows than 500 would add only time.
+    probe = (
+        "import sys, tracemalloc\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from bmv.csvtext import write_csv\n"
+        "table = np.random.default_rng(0).standard_normal((500, 389))\n"
+        "header = [f'c{k}' for k in range(389)]\n"
+        "tracemalloc.start()\n"
+        "write_csv(Path(sys.argv[1]), header, [table])\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = Path(bmv.__file__).resolve().parents[1]
+    path = tmp_path / "wide.csv"
+    peak = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120).stdout
+    lines = path.read_text().splitlines()
+    table = np.random.default_rng(0).standard_normal((500, 389))[[0, -1]]
+    assert [len(lines), lines[1], lines[-1]] == [501, *_repr_lines(table).splitlines()]
+    assert int(peak) < 2 * 2**20, peak
+
+
+def test_writing_a_table_reuses_its_block_buffers(tmp_path):
+    # every block is formatted in the buffers allocated when the file is
+    # opened, so no block hands memory back to the system for the next one to
+    # fault in again: about 34,000 minor faults a write when each block
+    # allocated its own temporaries
+    probe = (
+        "import resource, sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from bmv.csvtext import write_csv\n"
+        "values = np.random.default_rng(0).standard_normal(400_000)\n"
+        "out = Path(sys.argv[1])\n"
+        "write_csv(out, [f'c{k}' for k in range(18)], [values[:180].reshape(10, 18)])\n"
+        "for cols in (18, 389):\n"
+        "    table = values[: values.size // cols * cols].reshape(-1, cols)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    write_csv(out, [f'c{k}' for k in range(cols)], [table])\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = Path(bmv.__file__).resolve().parents[1]
+    faults = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "values.csv")],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120).stdout
+    assert [int(count) < 2000 for count in faults.split()] == [True, True], faults
+
+
+def _repr_lines(table: np.ndarray) -> str:
+    """The CSV lines of ``table`` as repr writes each value: the specification."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in table.tolist()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.floats(), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+@example(table=[[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
+def test_csv_values_are_their_repr(table):
+    table = np.array(table, dtype=np.float64)
+    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
+    assert lines == _repr_lines(table).encode()
+
+
+def test_csv_values_are_their_repr_at_every_scale(tmp_path):
+    # every power of two and of ten the numpy kernel takes, each with its
+    # neighbours; repr's switches between fixed and exponent notation; the
+    # integers around 2**53; and random bit patterns, written through the
+    # writer's own blocks
+    values = [float(f"1e{k}") for k in range(-240, 241)] + [2.0**k for k in range(-797, 798)]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf),
+                             [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1e15],
+                             2.0**53 + np.arange(-64.0, 65.0)])
+    # sorted, the bit patterns the kernel declines (a fifth) share rows
+    bits = np.random.default_rng(26).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = np.concatenate([values, -values, np.sort(bits.view(np.float64))])
+    table = values[: values.size // 8 * 8].reshape(-1, 8)
+    path = tmp_path / "values.csv"
+    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(8)], [table])
+    header, lines = path.read_text().split("\n", 1)
+    assert header == "c0,c1,c2,c3,c4,c5,c6,c7"
+    assert lines == _repr_lines(table)
+
+
+@pytest.mark.parametrize("block", ["one value", "37 values", "one row short", "default"])
+def test_any_block_size_writes_the_same_bytes(tmp_path, monkeypatch, block):
+    # the rows a decimate of 3 keeps of a table, whose final sample is off
+    # the stride, with values the kernel declines and values with texts of
+    # their own in the first and last rows of blocks: each block size writes
+    # repr's bytes.  "one row short" leaves the final row a block of its own.
+    cols = 7
+    table = np.random.default_rng(28).standard_normal((200, cols)) * 10.0 ** np.arange(-3, 4)
+    kept = [*range(0, 199, 3), 199]
+    specials = [5e-324, 1e300, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    for r, row in enumerate(kept):
+        if r % 5 in (0, 4) or r >= len(kept) - 2:
+            table[row, r % cols] = specials[r % len(specials)]
+            table[row, (r + 3) % cols] = specials[(r + 2) % len(specials)]
+    values = {"one value": 1, "37 values": 37, "one row short": (len(kept) - 1) * cols,
+              "default": bmv.csvtext.CSV_BLOCK_VALUES}[block]
+    monkeypatch.setattr(bmv.csvtext, "CSV_BLOCK_VALUES", values)
+    path = tmp_path / "table.csv"
+    bmv.csvtext.write_csv(path, [f"c{k}" for k in range(cols)], [table[kept]])
+    header, lines = path.read_text().split("\n", 1)
+    assert header == ",".join(f"c{k}" for k in range(cols))
+    assert lines == _repr_lines(table[kept])
+
+
+def test_a_value_the_kernel_declines_is_written_by_repr(monkeypatch):
+    # 5e-324, 1e300 and -1e-300 lie outside the kernel's range, and the
+    # infinities have no template: each of them, and no neighbour, goes to
+    # repr, in the first column, the last and a row of them alone; zero and
+    # nan, of either sign, keep their templates
+    table = np.array([[0.5, 1 / 3, 0.25], [5e-324, 2.0, -0.0], [0.0, 0.2, 1e300],
+                      [-1e-300, -math.nan, math.inf], [0.1, math.nan, -math.inf]])
+    written = []
+
+    def spy(value):
+        written.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(bmv.csvtext, "repr", spy, raising=False)
+    lines = bmv.csvtext._csv_lines(table, bmv.csvtext._csv_buffers(*table.shape))
+    assert lines == _repr_lines(table).encode()
+    assert [repr(value) for value in written] == [
+        "5e-324", "1e+300", "-1e-300", "inf", "-inf"]

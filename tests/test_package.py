@@ -119,10 +119,27 @@ def test_no_module_names_numpy_random():
     assert found == []
 
 
+def test_csvtext_imports_no_other_bmv_module():
+    # the CSV writer writes the rows it is given, so it needs nothing of bmv's
+    tree = ast.parse((Path(bmv.__file__).parent / "csvtext.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"csvtext.py:{node.lineno} imports {name}" for name in names
+                  if name.startswith(".") or name.split(".")[0] == "bmv"]
+    assert found == []
+
+
 def test_benchmark_probe_runs_on_the_2d_bundle(tmp_path):
     # The probe also calls run(ctx), build_summary(ctx, traj),
     # write_trajectory_csv(path, traj, labels, decimate) with a positional
-    # decimate, Trajectory.configuration and step.
+    # decimate, Trajectory.configuration and step.  That decimate serves only
+    # the layer probe and the tests: the commands decimate in run.
     checkout = Path(bmv.__file__).resolve().parents[2]
     scenario = checkout / "src" / "bmv" / "scenarios" / "narrow_passage_2d.json"
     done = subprocess.run(

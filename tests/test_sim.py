@@ -376,6 +376,19 @@ def _block_ends(ctx):
     return ends
 
 
+@settings(max_examples=200, deadline=None)
+@given(last=st.integers(0, 10**6), every=st.integers(1, 2**64))
+@example(last=7, every=3)
+@example(last=0, every=2**64)
+def test_kept_rows_are_the_samples_themselves(last, every):
+    # 0, k, 2k, ... and then the final sample, never an index past it
+    rows = kept_rows(last, every)
+    k = min(every, max(last, 1))
+    assert rows[0] == 0 and rows[-1] == last
+    assert np.all(np.diff(rows) > 0)
+    np.testing.assert_array_equal(rows, np.unique(np.minimum(range(0, last + k, k), last)))
+
+
 @pytest.mark.parametrize("every", [1, 7, 100, 1000])
 @pytest.mark.parametrize("name", ["narrow_passage_3d", "short segments"])
 def test_kept_samples_are_measured_as_each_block_alone(monkeypatch, name, every):
@@ -391,7 +404,7 @@ def test_kept_samples_are_measured_as_each_block_alone(monkeypatch, name, every)
     traj = run(ctx, every)
     ends = _block_ends(ctx)
     assert read == [1, *np.diff(ends)]
-    at = np.minimum(kept_rows(traj.steps, every), traj.steps)
+    at = kept_rows(traj.steps, every)
     bounds = [0, *np.searchsorted(at, np.array(ends) + 1)]
     assert bounds[-1] == traj.times.size
     for a, b in zip(bounds, bounds[1:]):
