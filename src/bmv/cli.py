@@ -7,7 +7,9 @@ summary.json with the structural checks, the closed-loop spectrum, and final
 metrics.  Exit codes: 0 success, 1 a validation check failed, 2 the input
 could not be read or parsed.
 
-Set BMV_LOG=DEBUG (or INFO, ...) for diagnostics on stderr.
+Set BMV_LOG to debug, info, warning, error or critical, in any case, for
+diagnostics on stderr; any other value is ignored.  Unset or ignored, it
+leaves the warnings of ``--force`` on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import math
 import os
 import pickle
@@ -46,8 +47,6 @@ from .sim import (
     structure,
 )
 
-logger = logging.getLogger(__name__)
-
 AXES = "xyz"
 
 # The exit code of each error a scenario can cause: it could not be read or
@@ -61,6 +60,9 @@ ECHO_LIMIT = 200
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+
+# The levels BMV_LOG may name.
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class LoadedScenario(NamedTuple):
@@ -650,9 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = getattr(logging, os.environ.get("BMV_LOG", "WARNING").upper(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    level = os.environ.get("BMV_LOG", "").upper()
+    if level in LOG_LEVELS or getattr(args, "force", False):
+        # only then: importing logging would cost every other process about 3 ms
+        import logging
+        logging.basicConfig(level=level if level in LOG_LEVELS else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
     code, result = _attempt(args.func, args)
     if code != EXIT_OK:
         print(f"error: {result}", file=sys.stderr)

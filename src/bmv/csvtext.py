@@ -25,6 +25,12 @@ import numpy as np
 # A block's buffers take about 285 bytes a value, so the 4,096 values of a
 # block, about 1.2 MB, fit a 2 MiB per-core L2 cache, where the kernel's
 # hundred-odd passes over them find them.
+#
+# The kernel's tables ship built, in csv_tables.npy next to this file: a
+# process reads them in under a millisecond, where building them takes 3-4 ms.
+# _build_csv_tables is their one definition, and tests/test_csvtext.py checks
+# the file against it bit for bit; after a change to it, write the file again
+# with `PYTHONPATH=src python -m bmv.csvtext`.
 CSV_BLOCK_VALUES = 4096
 CSV_FAST_RANGE = (1e-240, 1e240)
 CSV_SLACK = 1e-7
@@ -41,6 +47,13 @@ _FAST_KEYS = 2 * 17 * _FORMS
 _SPECIALS = ("0.0", "-0.0", "XYZ")
 _KEYS = _FAST_KEYS + len(_SPECIALS)
 _WIDTH = 25  # the longest repr, "-2.2250738585072014e-308", and a separator
+# csv_tables.npy is one uint8 array: the bytes of the seven _CsvTables arrays
+# end to end, in field order, each of the dtype and shape below, so that each
+# starts on a multiple of its item size.
+_TABLES_FILE = Path(__file__).with_name("csv_tables.npy")
+_TABLE_LAYOUT = tuple((np.dtype(code), shape) for code, shape in (
+    ("<f8", (5, 2048)), ("<i8", (6 * 2048,)), ("<u4", (6 * 2048,)), ("<i8", (19,)),
+    ("<u4", (10000,)), ("<u4", (2,)), ("u1", (2 * _KEYS, _WIDTH))))
 
 
 class _CsvTables(NamedTuple):
@@ -53,9 +66,9 @@ class _CsvTables(NamedTuple):
     exponents: np.ndarray  # and the four ASCII digits of its decimal exponent
     pow10: np.ndarray      # 10**j as int64, j = 0..18
     groups: np.ndarray     # the four ASCII digits of 0..9999, a uint32 each
+    constants: np.ndarray  # _SOURCE[24:] as two uint32 words
     templates: np.ndarray  # the source byte of each text byte, per key, with
                            # a comma, then per key with a line feed
-    constants: np.ndarray  # _SOURCE[24:] as two uint32 words
 
 
 def _template(key: int) -> str:
@@ -78,9 +91,9 @@ def _template(key: int) -> str:
     return "-" * (key >= 17 * _FORMS) + text
 
 
-@functools.cache
-def _csv_tables() -> _CsvTables:
-    """The formatter's tables, built on the first CSV written."""
+def _build_csv_tables() -> _CsvTables:
+    """The formatter's tables, built from their definition; csv_tables.npy
+    holds them, and _csv_tables reads them from there."""
     e = np.array(_EXPONENTS)
     p = 16 - np.floor((e - 1) * math.log10(2)).astype(np.int64)  # |x| 10**p in [1e16, 2e17)
     powers = []
@@ -110,14 +123,32 @@ def _csv_tables() -> _CsvTables:
     byte = str.maketrans({c: k for k, c in enumerate(_SOURCE) if c != "_"})
     texts = [_template(key) for key in range(_KEYS)]
     templates = "".join((text + sep).ljust(_WIDTH, "\0") for sep in ",\n" for text in texts)
-    tables = _CsvTables(scale, keys.ravel(), np.tile(exponents.ravel(), 2),
-                        10 ** np.arange(19, dtype=np.int64), groups,
-                        np.frombuffer(templates.translate(byte).encode("latin-1"),
-                                      np.uint8).reshape(-1, _WIDTH),
-                        np.frombuffer(_SOURCE[24:].encode("latin-1"), np.uint32))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return _CsvTables(scale, keys.ravel(), np.tile(exponents.ravel(), 2),
+                      10 ** np.arange(19, dtype=np.int64), groups,
+                      np.frombuffer(_SOURCE[24:].encode("latin-1"), np.uint32),
+                      np.frombuffer(templates.translate(byte).encode("latin-1"),
+                                    np.uint8).reshape(-1, _WIDTH))
+
+
+def _write_csv_tables(path: Path) -> None:
+    """Write the tables _build_csv_tables builds to ``path`` as _csv_tables
+    reads them: one uint8 .npy array of their bytes, end to end."""
+    np.save(path, np.concatenate([table.reshape(-1).view(np.uint8)
+                                  for table in _build_csv_tables()]))
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The formatter's tables, read from csv_tables.npy on the first CSV
+    written, each as a read-only view of its _TABLE_LAYOUT slice."""
+    blob = np.load(_TABLES_FILE)
+    blob.flags.writeable = False
+    tables, start = [], 0
+    for dtype, shape in _TABLE_LAYOUT:
+        size = dtype.itemsize * math.prod(shape)
+        tables.append(blob[start : start + size].view(dtype).reshape(shape))
+        start += size
+    return _CsvTables(*tables)
 
 
 class _CsvBuffers(NamedTuple):
@@ -350,3 +381,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             np.concatenate([column[start : start + block] for column in columns], axis=1,
                            out=table)
             out.write(_csv_lines(table, buf))
+
+
+if __name__ == "__main__":
+    _write_csv_tables(_TABLES_FILE)

@@ -21,9 +21,9 @@ chunk whose kept samples are non-finite, too large to square or collocated.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -51,8 +51,6 @@ from .formation import (
 )
 from .laplacian import BearingLaplacian
 from .rigidity import RigidityReport, required_rank, rigidity_rank, rigidity_report
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DT = 1e-3
 DEFAULT_GAINS = Gains(k_p=1.0, k_i=0.5)
@@ -272,6 +270,13 @@ def structure(scenario: Scenario) -> tuple[BearingSpec, BearingLaplacian]:
     return spec, BearingLaplacian(graph, spec)
 
 
+def _warn_forced(message: str) -> None:
+    """Log the structural failure that ``force`` lets a run go past."""
+    import logging  # here alone: a run that is not forced never loads it
+
+    logging.getLogger(__name__).warning("%s; continuing because force=True", message)
+
+
 def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) -> SimContext:
     """Validate a scenario and precompute everything a run needs.
 
@@ -304,7 +309,7 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
         )
         if not force:
             raise NotRigid(message)
-        logger.warning("%s; continuing because force=True", message)
+        _warn_forced(message)
     if not localizability.localizable:
         message = (
             f"follower block is not positive definite "
@@ -312,7 +317,7 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
         )
         if not force:
             raise NotLocalizable(message)
-        logger.warning("%s; continuing because force=True", message)
+        _warn_forced(message)
 
     d = graph.d
     n_l = graph.n_leaders
@@ -362,8 +367,11 @@ def assemble(scenario: Scenario, force: bool = False, integrate: bool = True) ->
     if cursor < scenario.duration - slack:
         raise ScheduleGap(f"schedule ends at {cursor} but the run lasts {scenario.duration}")
 
-    logger.info("assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e", graph.n, d,
-                graph.m, rank, required, localizability.min_eigenvalue)
+    if "logging" in sys.modules:  # else no handler is configured that would print this
+        import logging
+        logging.getLogger(__name__).info(
+            "assembled scenario: n=%d d=%d m=%d rank=%d/%d lambda_min=%.3e", graph.n, d,
+            graph.m, rank, required, localizability.min_eigenvalue)
     return SimContext(scenario=scenario, bearing_spec=spec, laplacian=lap, rigidity=rigidity,
                       segments=tuple(segments), loop=ClosedLoop(lap, scenario.gains, scenario.dt))
 

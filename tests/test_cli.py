@@ -889,6 +889,38 @@ def test_forced_spectrum_of_a_flexible_formation_warns_with_the_reports_rank(
     assert [r.rank for r in reports] == [4, 4]
 
 
+# A square ring with one leader is neither rigid (rank 4, need 5) nor localizable.
+RING_AGENTS = [{"id": "a", "role": "leader"}] + [{"id": k, "role": "follower"} for k in "bcd"]
+RING_EDGES = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
+
+
+@pytest.mark.parametrize("level, ring, force, err", [
+    # BMV_LOG names no level: ignored, as any other value is
+    ("basic_format", False, False, ""),
+    (None, True, True,
+     "WARNING bmv.sim: reference formation is not infinitesimally bearing rigid (rank 4, "
+     "need 5); continuing because force=True\n"
+     "WARNING bmv.sim: follower block is not positive definite (min eigenvalue 0.000e+00); "
+     "continuing because force=True\n"),
+    ("InFo", False, False,
+     "INFO bmv.sim: assembled scenario: n=4 d=2 m=6 rank=5/5 lambda_min=2.929e-01\n"),
+], ids=["basic_format", "force", "info"])
+def test_the_log_lines_a_command_prints(tmp_path, level, ring, force, err):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(small_doc(agents=RING_AGENTS, edges=RING_EDGES) if ring
+                               else small_doc()))
+    env = {k: v for k, v in os.environ.items() if k != "BMV_LOG"}
+    env["PYTHONPATH"] = str(Path(bmv.__file__).resolve().parents[1])
+    if level is not None:
+        env["BMV_LOG"] = level
+    done = subprocess.run(
+        [sys.executable, "-m", "bmv.cli", "spectrum", str(path)] + ["--force"] * force,
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, err)
+    assert json.loads(done.stdout)["is_hurwitz"] is not ring
+
+
 def test_spectrum_of_a_forced_non_localizable_scenario(tmp_path, capsys):
     # One follower on one edge to the only leader may slide along it, so
     # L_ff has an exact zero eigenvalue and the loop is not Hurwitz.
@@ -1869,16 +1901,17 @@ def test_cli_import_leaves_scipy_out():
 
 def test_no_command_imports_numpy_random(scenario_file, tmp_path):
     # run and batch draw the seeded start without numpy.random; check and
-    # spectrum never build the CSV formatter's tables, and a batch with more
-    # than one worker forks its workers without a process pool
+    # spectrum never read the CSV formatter's tables, a batch with more than
+    # one worker forks its workers without a process pool, and no command
+    # loads logging unless BMV_LOG or --force asks for it
     other = tmp_path / "square2.json"
     other.write_text(json.dumps(small_doc(seed=9)))
     src = Path(bmv.__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
         "import bmv.cli\n"
-        "lean = lambda: [m for m in ('concurrent.futures', 'multiprocessing', 'numpy.random')"
-        " if m in sys.modules]"
+        "lean = lambda: [m for m in ('concurrent.futures', 'logging', 'multiprocessing',"
+        " 'numpy.random') if m in sys.modules]"
         " + ['tables'] * bmv.csvtext._csv_tables.cache_info().currsize\n"
         "seen = [lean()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1891,9 +1924,10 @@ def test_no_command_imports_numpy_random(scenario_file, tmp_path):
             f"run {scenario_file} --out {tmp_path / 'out'} --decimate 100",
             f"batch {scenario_file} --out {tmp_path / 'batch'} --workers 1 --decimate 100",
             f"batch {scenario_file} {other} --out {tmp_path / 'pair'} --workers 2 --decimate 100"]
+    env = {k: v for k, v in os.environ.items() if k != "BMV_LOG"}
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == str([[], [], [], ["tables"], ["tables"], ["tables"]])

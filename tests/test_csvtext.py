@@ -113,6 +113,21 @@ def test_the_accept_rule_is_exact_at_every_binary_exponent():
     assert MARGIN * worst < CSV_SLACK, float(worst)
 
 
+def test_the_shipped_tables_are_their_construction_bit_for_bit(tmp_path):
+    # the tests above certify the tables the kernel reads, which come from
+    # csv_tables.npy; the file must hold exactly what the construction builds,
+    # and the regenerator must write that file byte for byte
+    csvtext = bmv.csvtext
+    shipped = csvtext._csv_tables()
+    for name, built, read in zip(csvtext._CsvTables._fields, csvtext._build_csv_tables(),
+                                 shipped):
+        assert (read.dtype, read.shape) == (built.dtype, built.shape), name
+        assert read.tobytes() == built.tobytes(), name
+        assert read.flags.c_contiguous and read.flags.aligned and not read.flags.writeable
+    csvtext._write_csv_tables(tmp_path / "tables.npy")
+    assert (tmp_path / "tables.npy").read_bytes() == csvtext._TABLES_FILE.read_bytes()
+
+
 def test_key_tables_agree_with_repr():
     # one value for each reachable (sign, binary exponent, digit count of
     # c 10**j) cell: the smallest and the largest value of each binade within
